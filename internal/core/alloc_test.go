@@ -59,3 +59,56 @@ func TestAdvanceRangeAllocsSteadyState(t *testing.T) {
 		t.Errorf("steady-state advanceRange allocates %.0f per multistep, want ≤ 1", allocs)
 	}
 }
+
+// TestThinBankPrimitivesAllocFree pins the arena contract of the thin sort
+// banks: after one warm-up call, RAR and RAW over graph.Vertex values and
+// Route over Query records check their item, value and move banks out of
+// the mesh's arena and allocate nothing per call.
+func TestThinBankPrimitivesAllocFree(t *testing.T) {
+	m := mesh.New(16)
+	v := m.Root()
+	n := m.N()
+	nodes := mesh.NewReg[graph.Vertex](m)
+	mesh.Apply(v, nodes, func(i int, _ graph.Vertex) graph.Vertex {
+		return graph.Vertex{ID: graph.VertexID(i), Level: int32(i % 7), ExtIdx: -1}
+	})
+	queries := mesh.NewReg[Query](m)
+	mesh.Apply(v, queries, func(i int, _ Query) Query { return Query{ID: int32(i), Cur: graph.VertexID(i)} })
+	var sink int64
+	ops := []struct {
+		name string
+		f    func()
+	}{
+		{"RAR", func() {
+			mesh.RAR(v,
+				func(i int) (graph.VertexID, graph.Vertex, bool) {
+					nd := mesh.Ref(v, nodes, i)
+					return nd.ID, *nd, true
+				},
+				func(i int) (graph.VertexID, bool) { return graph.VertexID((i * 7) % n), true },
+				func(i int, nd graph.Vertex, found bool) { sink += int64(nd.Level) })
+		}},
+		{"RAW", func() {
+			mesh.RAW(v,
+				func(i int) (graph.VertexID, bool) { return graph.VertexID(i), true },
+				func(i int) (graph.VertexID, graph.Vertex, bool) {
+					nd := mesh.Ref(v, nodes, i)
+					return nd.ID / 2, *nd, true
+				},
+				func(a, b graph.Vertex) graph.Vertex {
+					a.Level += b.Level
+					return a
+				},
+				func(i int, nd graph.Vertex, any bool) { sink += int64(nd.Level) })
+		}},
+		{"Route", func() {
+			mesh.Route(v, queries, emptyQuery, func(i int, q Query) (int, bool) { return (i + 1) % n, true })
+		}},
+	}
+	for _, op := range ops {
+		op.f() // warm the arena
+		if allocs := testing.AllocsPerRun(20, op.f); allocs != 0 {
+			t.Errorf("steady-state %s allocates %.1f per call, want 0", op.name, allocs)
+		}
+	}
+}

@@ -189,13 +189,16 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	// Step 4b: expand. Copies of record j of G_i are laid out contiguously
 	// (positions ebase_i + j·Γ_i + c), so one forward copy-scan creates all
 	// of them; a final sort delivers copy c to position j of slot base+c.
+	// The scratch banks carry the vertex's local index in in.Nodes, which
+	// does not change during the call; the vertex itself is read back once,
+	// at placement.
 	type nitem struct {
 		part        int32
 		id          graph.VertexID
 		cnt, total  int32
 		gamma, base int32
 		ebase       int64 // inclusive prefix of Γ_p·|G_p| (incl. own part)
-		v           graph.Vertex
+		idx         int32 // local index of the vertex in in.Nodes
 	}
 	ns := make([]nitem, 0, m)
 	for i := 0; i < m; i++ {
@@ -203,7 +206,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 			nd := mesh.At(v, in.Nodes, i)
 			ns = append(ns, nitem{
 				part: slot.PartOf(&nd), id: nd.ID, cnt: 1,
-				gamma: nodeGamma[i], base: nodeBase[i], v: nd,
+				gamma: nodeGamma[i], base: nodeBase[i], idx: int32(i),
 			})
 		}
 	}
@@ -243,7 +246,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 		id          graph.VertexID
 		j, c        int32
 		gamma, base int32
-		v           graph.Vertex
+		idx         int32
 	}
 	src := make([]copyItem, len(ns))
 	for i, it := range ns {
@@ -252,7 +255,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 			panic(fmt.Sprintf("core: part %d has %d vertices > capacity %d (maxPart too small)",
 				it.part, it.total, plan.cap))
 		}
-		src[i] = copyItem{id: it.id, j: j, c: 0, gamma: it.gamma, base: it.base, v: it.v}
+		src[i] = copyItem{id: it.id, j: j, c: 0, gamma: it.gamma, base: it.base, idx: it.idx}
 	}
 	expanded, occupied := mesh.RouteScratch(v, src, int(expTotal), 2, func(i int) int {
 		it := ns[i]
@@ -266,7 +269,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	// Deliver copy c of record j to cell j of slot base+c.
 	type placed struct {
 		layer, cell int32
-		v           graph.Vertex
+		idx         int32
 	}
 	place := make([]placed, len(expanded))
 	for i, cp := range expanded {
@@ -274,7 +277,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 		place[i] = placed{
 			layer: int32(s / plan.phys),
 			cell:  int32(plan.cell(vcols, s%plan.phys, int(cp.j))),
-			v:     cp.v,
+			idx:   cp.idx,
 		}
 	}
 	mesh.Release(in.M, expanded)
@@ -292,7 +295,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	}
 	for _, p := range place {
 		copies, _ := in.layer(int(p.layer))
-		mesh.Set(v, copies, int(p.cell), p.v)
+		mesh.Set(v, copies, int(p.cell), mesh.At(v, in.Nodes, int(p.idx)))
 	}
 	v.Charge(1)
 	endExpand()
@@ -301,16 +304,16 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	endPlace := trace.Span(v, "place")
 	type qplaced struct {
 		layer, cell int32
-		q           Query
+		origin      int32 // local index of the query in in.Queries
 	}
 	qp := make([]qplaced, len(qs))
 	for i, it := range qs {
 		base := it.off - gammaOf(it.total)
 		s := int(base) + int(it.cnt-1)/plan.cap
 		qp[i] = qplaced{
-			layer: int32(s / plan.phys),
-			cell:  int32(plan.cell(vcols, s%plan.phys, int(it.cnt-1)%plan.cap)),
-			q:     mesh.At(v, in.Queries, int(it.origin)),
+			layer:  int32(s / plan.phys),
+			cell:   int32(plan.cell(vcols, s%plan.phys, int(it.cnt-1)%plan.cap)),
+			origin: it.origin,
 		}
 	}
 	mesh.SortScratch(v, qp, 1, func(a, b qplaced) bool {
@@ -321,7 +324,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	})
 	for _, p := range qp {
 		_, staged := in.layer(int(p.layer))
-		mesh.Set(v, staged, int(p.cell), p.q)
+		mesh.Set(v, staged, int(p.cell), mesh.At(v, in.Queries, int(p.origin)))
 	}
 	v.Charge(1)
 	endPlace()
@@ -339,11 +342,11 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 			for it := 0; it < steps && live > 0; it++ {
 				mesh.RAR(sub,
 					func(i int) (graph.VertexID, graph.Vertex, bool) {
-						nd := mesh.At(sub, copies, i)
-						return nd.ID, nd, nd.ID != graph.Nil
+						nd := mesh.Ref(sub, copies, i)
+						return nd.ID, *nd, nd.ID != graph.Nil
 					},
 					func(i int) (graph.VertexID, bool) {
-						q := mesh.At(sub, staged, i)
+						q := mesh.Ref(sub, staged, i)
 						return q.Cur, q.ID != NoQuery && q.Mark
 					},
 					func(i int, nd graph.Vertex, found bool) {

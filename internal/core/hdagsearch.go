@@ -30,6 +30,28 @@ type HDagStats struct {
 	Advanced   int64
 }
 
+// vref is the sort record standing for one vertex in the ID sorts of steps
+// 2 and 3: the key and the vertex's local index in the register it was
+// read from. The vertex itself is copied once, after the sort.
+type vref struct {
+	id  graph.VertexID
+	idx int32
+}
+
+func byID(a, b vref) bool { return a.id < b.id }
+
+// sortedBlock sorts refs by vertex ID (one charged scratch sort) and returns
+// the vertices in that order, read through at, in a block checked out of the
+// arena; the caller releases it.
+func sortedBlock(v mesh.View, refs []vref, at func(idx int32) graph.Vertex) []graph.Vertex {
+	mesh.SortScratch(v, refs, 1, byID)
+	block := mesh.Checkout[graph.Vertex](v.Mesh(), len(refs))
+	for r, ref := range refs {
+		block[r] = at(ref.idx)
+	}
+	return block
+}
+
 type hdagRegs struct {
 	labels *mesh.Reg[int8]
 	stage  *mesh.Reg[graph.Vertex]
@@ -153,11 +175,11 @@ func distributeToLabels(delta mesh.View, regs *hdagRegs, plan *HDagPlan, i int) 
 	m := delta.Mesh()
 	blk := plan.Blocks[i]
 	size := delta.Size()
-	recs := mesh.Checkout[graph.Vertex](m, size)[:0]
+	recs := mesh.Checkout[vref](m, size)[:0]
 	for j := 0; j < size; j++ {
-		nd := mesh.At(delta, regs.stage, j)
+		nd := mesh.Ref(delta, regs.stage, j)
 		if nd.ID != graph.Nil && int(nd.Level) >= blk.Lo && int(nd.Level) <= blk.Hi {
-			recs = append(recs, nd)
+			recs = append(recs, vref{nd.ID, int32(j)})
 		}
 	}
 	if len(recs) != blk.Count {
@@ -174,8 +196,9 @@ func distributeToLabels(delta mesh.View, regs *hdagRegs, plan *HDagPlan, i int) 
 	if len(slots)*2 < len(recs) {
 		panic(fmt.Sprintf("core: B_%d: %d records onto %d label-%d processors", i, len(recs), len(slots), i))
 	}
-	mesh.SortScratch(delta, recs, 1, func(a, b graph.Vertex) bool { return a.ID < b.ID })
-	for r, nd := range recs {
+	mesh.SortScratch(delta, recs, 1, byID)
+	for r, ref := range recs {
+		nd := mesh.At(delta, regs.stage, int(ref.idx))
 		if r < len(slots) {
 			mesh.Set(delta, regs.store1, int(slots[r]), nd)
 		} else {
@@ -211,26 +234,30 @@ func replicateBi(delta mesh.View, regs *hdagRegs, plan *HDagPlan, i int) {
 	m := delta.Mesh()
 	blk := plan.Blocks[i]
 	size := delta.Size()
-	recs := mesh.Checkout[graph.Vertex](m, 2*size)[:0]
-	for j := 0; j < size; j++ {
-		if nd := mesh.At(delta, regs.store1, j); nd.ID != graph.Nil && int(nd.Level) >= blk.Lo && int(nd.Level) <= blk.Hi {
-			recs = append(recs, nd)
+	// refs index store1 at j and store2 at size+j.
+	refs := mesh.Checkout[vref](m, 2*size)[:0]
+	for k, r := range []*mesh.Reg[graph.Vertex]{regs.store1, regs.store2} {
+		for j := 0; j < size; j++ {
+			if nd := mesh.Ref(delta, r, j); nd.ID != graph.Nil && int(nd.Level) >= blk.Lo && int(nd.Level) <= blk.Hi {
+				refs = append(refs, vref{nd.ID, int32(k*size + j)})
+			}
 		}
 	}
-	for j := 0; j < size; j++ {
-		if nd := mesh.At(delta, regs.store2, j); nd.ID != graph.Nil && int(nd.Level) >= blk.Lo && int(nd.Level) <= blk.Hi {
-			recs = append(recs, nd)
+	if len(refs) != blk.Count {
+		panic(fmt.Sprintf("core: replicate B_%d found %d records, plan says %d", i, len(refs), blk.Count))
+	}
+	recs := sortedBlock(delta, refs, func(idx int32) graph.Vertex {
+		if int(idx) < size {
+			return mesh.At(delta, regs.store1, int(idx))
 		}
-	}
-	if len(recs) != blk.Count {
-		panic(fmt.Sprintf("core: replicate B_%d found %d records, plan says %d", i, len(recs), blk.Count))
-	}
-	mesh.SortScratch(delta, recs, 1, func(a, b graph.Vertex) bool { return a.ID < b.ID })
+		return mesh.At(delta, regs.store2, int(idx)-size)
+	})
 	gOut := plan.GridOf(i + 1)
 	children := delta.Partition(blk.Grid/gOut, blk.Grid/gOut)
 	mesh.Fill(delta, regs.work, emptyVertex)
 	mesh.BroadcastBlock(delta, regs.work, recs, children)
 	mesh.Release(m, recs)
+	mesh.Release(m, refs)
 }
 
 // solveLemma1 solves the multisearch problem for B_i within one
@@ -246,17 +273,18 @@ func solveLemma1(sub mesh.View, in *Instance, regs *hdagRegs, blk HDagBlock) int
 		// Phase 1.
 		endPhase1 := trace.Span(sub, "lemma1/phase1")
 		size := sub.Size()
-		block1 := mesh.Checkout[graph.Vertex](m, size)[:0]
+		refs := mesh.Checkout[vref](m, size)[:0]
 		for j := 0; j < size; j++ {
-			if nd := mesh.At(sub, regs.work, j); nd.ID != graph.Nil && int(nd.Level) <= blk.P1Hi && int(nd.Level) >= blk.Lo {
-				block1 = append(block1, nd)
+			if nd := mesh.Ref(sub, regs.work, j); nd.ID != graph.Nil && int(nd.Level) <= blk.P1Hi && int(nd.Level) >= blk.Lo {
+				refs = append(refs, vref{nd.ID, int32(j)})
 			}
 		}
-		mesh.SortScratch(sub, block1, 1, func(a, b graph.Vertex) bool { return a.ID < b.ID })
+		block1 := sortedBlock(sub, refs, func(idx int32) graph.Vertex { return mesh.At(sub, regs.work, int(idx)) })
 		grand := sub.Partition(blk.P1Grid, blk.P1Grid)
 		mesh.Fill(sub, regs.phase1, emptyVertex)
 		mesh.BroadcastBlock(sub, regs.phase1, block1, grand)
 		mesh.Release(m, block1)
+		mesh.Release(m, refs)
 		iters := blk.P1Hi - blk.Lo + 1
 		childAdv := mesh.Checkout[int64](m, len(grand))
 		clear(childAdv)
@@ -289,11 +317,11 @@ func advanceRange(v mesh.View, in *Instance, nodes *mesh.Reg[graph.Vertex], lo, 
 	var advanced int64
 	mesh.RAR(v,
 		func(i int) (graph.VertexID, graph.Vertex, bool) {
-			nd := mesh.At(v, nodes, i)
-			return nd.ID, nd, nd.ID != graph.Nil
+			nd := mesh.Ref(v, nodes, i)
+			return nd.ID, *nd, nd.ID != graph.Nil
 		},
 		func(i int) (graph.VertexID, bool) {
-			q := mesh.At(v, in.Queries, i)
+			q := mesh.Ref(v, in.Queries, i)
 			return q.Cur, q.ID != NoQuery && !q.Done && int(q.CurLevel) >= lo && int(q.CurLevel) <= hi
 		},
 		func(i int, nd graph.Vertex, found bool) {

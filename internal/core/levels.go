@@ -56,11 +56,11 @@ func ComputeLevels(v mesh.View, in *Instance) []int32 {
 		for slot := 0; slot < graph.MaxDegree; slot++ {
 			mesh.RAR(cur,
 				func(i int) (graph.VertexID, bool, bool) {
-					nd := mesh.At(cur, work, i)
+					nd := mesh.Ref(cur, work, i)
 					return nd.ID, true, nd.ID != graph.Nil
 				},
 				func(i int) (graph.VertexID, bool) {
-					nd := mesh.At(cur, work, i)
+					nd := mesh.Ref(cur, work, i)
 					if nd.ID == graph.Nil || slot >= int(nd.Deg) {
 						return 0, false
 					}

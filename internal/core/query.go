@@ -190,11 +190,11 @@ func (in *Instance) layer(i int) (*mesh.Reg[graph.Vertex], *mesh.Reg[Query]) {
 func (in *Instance) Prime(v mesh.View) {
 	mesh.RAR(v,
 		func(i int) (graph.VertexID, graph.Vertex, bool) {
-			nd := mesh.At(v, in.Nodes, i)
-			return nd.ID, nd, nd.ID != graph.Nil
+			nd := mesh.Ref(v, in.Nodes, i)
+			return nd.ID, *nd, nd.ID != graph.Nil
 		},
 		func(i int) (graph.VertexID, bool) {
-			q := mesh.At(v, in.Queries, i)
+			q := mesh.Ref(v, in.Queries, i)
 			return q.Cur, q.ID != NoQuery && !q.Done
 		},
 		func(i int, nd graph.Vertex, found bool) {
@@ -216,11 +216,11 @@ func (in *Instance) GlobalStep(v mesh.View) int {
 	advanced := 0
 	mesh.RAR(v,
 		func(i int) (graph.VertexID, graph.Vertex, bool) {
-			nd := mesh.At(v, in.Nodes, i)
-			return nd.ID, nd, nd.ID != graph.Nil
+			nd := mesh.Ref(v, in.Nodes, i)
+			return nd.ID, *nd, nd.ID != graph.Nil
 		},
 		func(i int) (graph.VertexID, bool) {
-			q := mesh.At(v, in.Queries, i)
+			q := mesh.Ref(v, in.Queries, i)
 			return q.Cur, q.ID != NoQuery && !q.Done
 		},
 		func(i int, nd graph.Vertex, found bool) {

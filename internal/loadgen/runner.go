@@ -203,7 +203,10 @@ func (cfg Config) target() (func(context.Context, serve.Kind, serve.Args) (serve
 }
 
 // Run plays the arrival plan against the server: open loop, each arrival
-// fired at its scheduled offset regardless of outstanding queries. The hot
+// fired at its scheduled offset regardless of outstanding queries. Latency
+// runs from each arrival's due time, not from when its goroutine got to call
+// the target, so a generator that falls behind (a stalled scheduler, a
+// starved CPU) shows up in the tail instead of hiding. The hot
 // path does no per-query allocation beyond the one goroutine per in-flight
 // lookup — outcomes land in a preallocated slice, latency quantiles come
 // from fixed-boundary histograms built at report time.
@@ -274,6 +277,7 @@ func Run(cfg Config) (*Report, error) {
 			outcomes[i].status = outcomeShed
 			continue
 		}
+		due := start.Add(time.Duration(ev.AtNS))
 		wg.Add(1)
 		go func(ev *TraceEvent, o *outcome) {
 			defer wg.Done()
@@ -286,9 +290,8 @@ func Run(cfg Config) (*Report, error) {
 				// event slices carry it without the typed-args mirror.
 				args = serve.Args{ev.Needle}
 			}
-			qstart := time.Now()
 			res, err := lookup(qctx, ev.Kind, args)
-			o.latNS = time.Since(qstart).Nanoseconds()
+			o.latNS = time.Since(due).Nanoseconds()
 			switch {
 			case errors.Is(err, serve.ErrOverloaded):
 				o.status = outcomeRejected

@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"context"
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -217,4 +219,52 @@ func TestGenerateBounds(t *testing.T) {
 	if _, err := Run(Config{Server: nil, Events: []TraceEvent{{}}}); err == nil {
 		t.Fatal("nil server accepted")
 	}
+}
+
+// TestRunLatencyCountsDispatchDelay pins where open-loop latency starts:
+// at each arrival's due time. The target stalls the generator — on one
+// processor, its first call spins the CPU for 40 ms, so arrivals that fall
+// due meanwhile cannot even be dispatched — and the queued arrivals'
+// reported latency must include that wait, although the target answers
+// each of them instantly once called.
+func TestRunLatencyCountsDispatchDelay(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 41
+	events := make([]TraceEvent, n)
+	for i := range events {
+		events[i] = TraceEvent{I: i, AtNS: int64(i) * int64(time.Millisecond), Needle: int64(i)}
+	}
+	calledAt := make([]time.Time, n)
+	lookup := func(_ context.Context, needle int64) (serve.Result, error) {
+		calledAt[needle] = time.Now()
+		if needle == 0 {
+			for time.Since(calledAt[0]) < 40*time.Millisecond {
+			}
+		}
+		return serve.Result{Found: true, LeafKey: needle}, nil
+	}
+	t0 := time.Now() // no later than Run's own start
+	rep, err := Run(Config{Lookup: lookup, Events: events, Window: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Total.Answered != n {
+		t.Fatalf("answered %d of %d", rep.Total.Answered, n)
+	}
+	// How late the target saw each arrival, measured from the outside.
+	late := make([]time.Duration, 0, n-1)
+	for i := 1; i < n; i++ {
+		late = append(late, calledAt[i].Sub(t0.Add(time.Duration(events[i].AtNS))))
+	}
+	sort.Slice(late, func(a, b int) bool { return late[a] < late[b] })
+	medianLate := late[len(late)/2]
+	if medianLate < 2*time.Millisecond {
+		t.Fatalf("the stall did not delay dispatch (median lateness %v); the test shows nothing", medianLate)
+	}
+	// Timed from the goroutine's call, the instant answers would report a
+	// median of microseconds; timed from the due time they carry the wait.
+	if rep.Total.P50 < medianLate/2 {
+		t.Errorf("p50 latency %v omits the dispatch wait (median lateness at the target %v)", rep.Total.P50, medianLate)
+	}
+	t.Logf("median lateness at the target %v, reported p50 %v, max %v", medianLate, rep.Total.P50, rep.Total.Max)
 }

@@ -14,6 +14,14 @@ import (
 // and released on return, so the steady-state multistep loop allocates
 // nothing.
 //
+// The banks these operations sort and scan are thin: a key, flags, an
+// int32 origin and an int32 index into a side bank that holds the records'
+// values, which are copied in once and read back only at delivery. The
+// charges come from the cost formulas, not from the bytes the host moves,
+// so the representation changes wall-clock time and nothing else: same
+// charges, same op names and bank lengths at every injector consultation,
+// and the audits still compare the values that are delivered.
+//
 // Scratch-slice variants (SortScratch, ScanScratch) model a bank of perProc
 // registers per processor — perProc must remain O(1), which is how the
 // physical machine sorts 2m items on m processors (two words per link per
@@ -40,38 +48,42 @@ func ScanScratch[T any](v View, xs []T, perProc int, head func(i int) bool, op f
 // reversed snake; same cost.
 func ScanScratchRev[T any](v View, xs []T, perProc int, head func(i int) bool, op func(a, b T) T) {
 	v = v.begin(OpScan)
-	scanSliceRev(v, "ScanScratchRev", xs, perProc, head, op)
+	scanSliceRev(v, "ScanScratchRev", xs, perProc, head, func(_ int, a, b T) T { return op(a, b) })
 }
 
-// move pairs a routed value with its destination; routings sort their move
-// list by destination, which is also what detects collisions (adjacent
-// duplicates after the sort).
-type move[T any] struct {
+// move is one record of a routing's sort bank: the destination and the
+// index of the routed value in the operation's value bank. Routings sort
+// their move list by destination, which is also what detects collisions
+// (adjacent duplicates after the sort).
+type move struct {
 	dest int32
-	val  T
+	src  int32
 }
 
-// collectMoves builds the pooled move list for Route/RouteTo and validates
-// destinations. The caller releases it.
-func collectMoves[T any](v View, read func(local int) T, sel func(local int, val T) (dest int, ok bool), opName string) []move[T] {
+// collectMoves builds the pooled move list and value bank for
+// Route/RouteTo, validates destinations, and sorts the moves by
+// destination. The caller releases both.
+func collectMoves[T any](v View, read func(local int) T, sel func(local int, val T) (dest int, ok bool), opName string) ([]move, []T) {
 	m := v.Size()
-	moves := Checkout[move[T]](v.m, m)[:0]
+	moves := Checkout[move](v.m, m)[:0]
+	vals := Checkout[T](v.m, m)[:0]
 	for i := 0; i < m; i++ {
 		val := read(i)
 		if d, ok := sel(i, val); ok {
 			if d < 0 || d >= m {
 				panic("mesh: " + opName + " destination out of view")
 			}
-			moves = append(moves, move[T]{int32(d), val})
+			moves = append(moves, move{int32(d), int32(len(vals))})
+			vals = append(vals, val)
 		}
 	}
-	sortSlice(v, opName, moves, 1, func(a, b move[T]) bool { return a.dest < b.dest })
+	sortSlice(v, opName, moves, 1, func(a, b move) bool { return a.dest < b.dest })
 	for i := 1; i < len(moves); i++ {
 		if moves[i].dest == moves[i-1].dest {
 			panic("mesh: " + opName + " destination collision")
 		}
 	}
-	return moves
+	return moves, vals
 }
 
 // RouteTo moves selected records of src into computed destination cells of
@@ -79,10 +91,11 @@ func collectMoves[T any](v View, read func(local int) T, sel func(local int, val
 // that receive no record are untouched. Cost: one sort.
 func RouteTo[T any](v View, src, dst *Reg[T], sel func(local int, val T) (dest int, ok bool)) {
 	v = v.begin(OpRoute)
-	moves := collectMoves(v, func(i int) T { return src.data[v.Global(i)] }, sel, "RouteTo")
+	moves, vals := collectMoves(v, func(i int) T { return src.data[v.Global(i)] }, sel, "RouteTo")
 	for _, mv := range moves {
-		dst.data[v.Global(int(mv.dest))] = mv.val
+		dst.data[v.Global(int(mv.dest))] = vals[mv.src]
 	}
+	Release(v.m, vals)
 	Release(v.m, moves)
 	v.charge(OpRoute, 1)
 }
@@ -106,15 +119,15 @@ func RouteScratch[T any](v View, src []T, dstLen, perProc int, dest func(i int) 
 	if dstLen > perProc*v.Size() {
 		panic("mesh: RouteScratch overflow")
 	}
-	moves := Checkout[move[T]](v.m, len(src))[:0]
+	moves := Checkout[move](v.m, len(src))[:0]
 	for i := range src {
 		d := dest(i)
 		if d < 0 || d >= dstLen {
 			panic("mesh: RouteScratch destination out of range")
 		}
-		moves = append(moves, move[T]{int32(d), src[i]})
+		moves = append(moves, move{int32(d), int32(i)})
 	}
-	runSort(v, "RouteScratch", moves, func(a, b move[T]) bool { return a.dest < b.dest })
+	runSort(v, "RouteScratch", moves, func(a, b move) bool { return a.dest < b.dest })
 	dst = Checkout[T](v.m, dstLen)
 	occupied = Checkout[bool](v.m, dstLen)
 	clear(dst)
@@ -123,7 +136,7 @@ func RouteScratch[T any](v View, src []T, dstLen, perProc int, dest func(i int) 
 		if i > 0 && mv.dest == moves[i-1].dest {
 			panic("mesh: RouteScratch destination collision")
 		}
-		dst[mv.dest] = mv.val
+		dst[mv.dest] = src[mv.src]
 		occupied[mv.dest] = true
 	}
 	Release(v.m, moves)
@@ -196,23 +209,34 @@ func RAR[K cmp.Ordered, V any](v View,
 	request func(local int) (key K, ok bool),
 	deliver func(local int, val V, found bool),
 ) {
+	// item is one cell of the sort bank. val indexes vals and is meaningful
+	// only when found: the copy-scan moves (val, found) as a pair, so a
+	// request that found nothing never names a value.
 	type item struct {
 		key    K
 		isReq  bool
 		found  bool
-		val    V
+		val    int32
 		origin int32
 	}
 	v = v.begin(OpRAR)
 	m := v.Size()
 	items := Checkout[item](v.m, 2*m)[:0]
+	vals := Checkout[V](v.m, m)[:0]
 	for i := 0; i < m; i++ {
 		if k, val, ok := record(i); ok {
-			items = append(items, item{key: k, val: val, found: true, origin: int32(i)})
+			items = append(items, item{key: k, found: true, val: int32(len(vals)), origin: int32(i)})
+			vals = append(vals, val)
 		}
 		if k, ok := request(i); ok {
 			items = append(items, item{key: k, isReq: true, origin: int32(i)})
 		}
+	}
+	value := func(it item) (val V) {
+		if it.found {
+			val = vals[it.val]
+		}
+		return val
 	}
 	// Audit oracle, built from the pristine bank before any sort can be
 	// faulted: each request origin expects the value of the last record
@@ -222,7 +246,7 @@ func RAR[K cmp.Ordered, V any](v View,
 		recs := make(map[K]rarExpect[V], len(items))
 		for _, it := range items {
 			if !it.isReq {
-				recs[it.key] = rarExpect[V]{val: it.val, found: true}
+				recs[it.key] = rarExpect[V]{val: value(it), found: true}
 			}
 		}
 		expect = make(map[int32]*rarExpect[V], len(items))
@@ -273,21 +297,24 @@ func RAR[K cmp.Ordered, V any](v View,
 		if i == drop {
 			continue
 		}
+		val := value(it)
 		if expect != nil {
-			auditDelivery(v, "RAR", expect, it.origin, it.val, it.found)
+			auditDelivery(v, "RAR", expect, it.origin, val, it.found)
 		}
-		deliver(int(it.origin), it.val, it.found)
+		deliver(int(it.origin), val, it.found)
 	}
 	if dupSrc >= 0 {
 		it, dst := reqs[dupSrc], reqs[dupDst]
+		val := value(it)
 		if expect != nil {
-			auditDelivery(v, "RAR", expect, dst.origin, it.val, it.found)
+			auditDelivery(v, "RAR", expect, dst.origin, val, it.found)
 		}
-		deliver(int(dst.origin), it.val, it.found)
+		deliver(int(dst.origin), val, it.found)
 	}
 	if expect != nil {
 		auditAllDelivered(v, "RAR", expect)
 	}
+	Release(v.m, vals)
 	Release(v.m, items)
 	v.charge(OpRAR, 1)
 }
@@ -312,24 +339,32 @@ func RAW[K cmp.Ordered, V any](v View,
 	combine func(a, b V) V,
 	deliver func(local int, combined V, any bool),
 ) {
+	// item is one cell of the sort bank; val indexes vals and is meaningful
+	// only when has. vals holds the written values in collection order,
+	// then one fold slot per bank position: the reverse scan stores the
+	// combination it computes at position i in slot fold+i.
 	type item struct {
 		key    K
 		isRec  bool
 		has    bool
-		val    V
+		val    int32
 		origin int32
 	}
 	v = v.begin(OpRAW)
 	m := v.Size()
 	items := Checkout[item](v.m, 2*m)[:0]
+	vals := Checkout[V](v.m, 3*m)[:0]
 	for i := 0; i < m; i++ {
 		if k, ok := record(i); ok {
 			items = append(items, item{key: k, isRec: true, origin: int32(i)})
 		}
 		if k, val, ok := write(i); ok {
-			items = append(items, item{key: k, val: val, has: true, origin: int32(i)})
+			items = append(items, item{key: k, has: true, val: int32(len(vals)), origin: int32(i)})
+			vals = append(vals, val)
 		}
 	}
+	fold := len(vals)
+	vals = vals[:fold+len(items)]
 	// Audit oracle: each record origin expects the right-fold of all writes
 	// to its key in collection order — exactly what the reverse copy-scan
 	// computes on the stably sorted bank.
@@ -338,7 +373,7 @@ func RAW[K cmp.Ordered, V any](v View,
 		writes := make(map[K][]V, len(items))
 		for _, it := range items {
 			if !it.isRec {
-				writes[it.key] = append(writes[it.key], it.val)
+				writes[it.key] = append(writes[it.key], vals[it.val])
 			}
 		}
 		expect = make(map[int32]*rarExpect[V], len(items))
@@ -363,13 +398,16 @@ func RAW[K cmp.Ordered, V any](v View,
 		return a.isRec && !b.isRec
 	})
 	// Reverse scan: fold write values toward the record at the front of
-	// each key segment.
+	// each key segment. b is always the unscanned cell at i, so a combining
+	// b still names its own write, and slot fold+i is written only for
+	// position i — the audit's recomputation rewrites the same value.
 	scanSliceRev(v, "RAW", items, 2,
 		func(i int) bool { return i == len(items)-1 || items[i].key != items[i+1].key },
-		func(a, b item) item {
+		func(i int, a, b item) item {
 			if a.has {
 				if b.has {
-					b.val = combine(b.val, a.val)
+					vals[fold+i] = combine(vals[b.val], vals[a.val])
+					b.val = int32(fold + i)
 				} else {
 					b.val = a.val
 					b.has = true
@@ -385,14 +423,19 @@ func RAW[K cmp.Ordered, V any](v View,
 	}
 	sortSlice(v, "RAW", recs, 1, func(a, b item) bool { return a.origin < b.origin })
 	for _, it := range recs {
-		if expect != nil {
-			auditDelivery(v, "RAW", expect, it.origin, it.val, it.has)
+		var val V
+		if it.has {
+			val = vals[it.val]
 		}
-		deliver(int(it.origin), it.val, it.has)
+		if expect != nil {
+			auditDelivery(v, "RAW", expect, it.origin, val, it.has)
+		}
+		deliver(int(it.origin), val, it.has)
 	}
 	if expect != nil {
 		auditAllDelivered(v, "RAW", expect)
 	}
+	Release(v.m, vals)
 	Release(v.m, items)
 	v.charge(OpRAW, 1)
 }
@@ -400,8 +443,10 @@ func RAW[K cmp.Ordered, V any](v View,
 // scanSliceRev mirrors scanSlice in reverse index order, including the
 // fault-injection consult and the audit-mode prefix-identity check (which,
 // like scanSlice's, also pins the untouched head cells and the last record
-// to their input values).
-func scanSliceRev[T any](v View, opName string, xs []T, perProc int, head func(i int) bool, op func(a, b T) T) {
+// to their input values). op also receives the index i of the cell it
+// computes, op(i, out[i+1], in[i]); the audit checks cells from the top
+// down, so every out[i+1] it passes has already been verified.
+func scanSliceRev[T any](v View, opName string, xs []T, perProc int, head func(i int) bool, op func(i int, a, b T) T) {
 	if perProc < 1 {
 		perProc = 1
 	}
@@ -414,7 +459,7 @@ func scanSliceRev[T any](v View, opName string, xs []T, perProc int, head func(i
 	}
 	for i := len(xs) - 2; i >= 0; i-- {
 		if !head(i) {
-			xs[i] = op(xs[i+1], xs[i])
+			xs[i] = op(i, xs[i+1], xs[i])
 		}
 	}
 	corruptSlice(v, opName, xs)
@@ -424,7 +469,7 @@ func scanSliceRev[T any](v View, opName string, xs []T, perProc int, head func(i
 			if i == len(xs)-1 || head(i) {
 				want = in[i]
 			} else {
-				want = op(xs[i+1], in[i])
+				want = op(i, xs[i+1], in[i])
 			}
 			if !reflect.DeepEqual(xs[i], want) {
 				panic(&AuditError{
@@ -446,7 +491,7 @@ func scanSliceRev[T any](v View, opName string, xs []T, perProc int, head func(i
 func Route[T any](v View, r *Reg[T], clear T, sel func(local int, val T) (dest int, ok bool)) {
 	v = v.begin(OpRoute)
 	cleared := Checkout[int32](v.m, v.Size())[:0]
-	moves := collectMoves(v, func(i int) T { return r.data[v.Global(i)] },
+	moves, vals := collectMoves(v, func(i int) T { return r.data[v.Global(i)] },
 		func(i int, val T) (int, bool) {
 			d, ok := sel(i, val)
 			if ok {
@@ -458,9 +503,10 @@ func Route[T any](v View, r *Reg[T], clear T, sel func(local int, val T) (dest i
 		r.data[v.Global(int(i))] = clear
 	}
 	for _, mv := range moves {
-		r.data[v.Global(int(mv.dest))] = mv.val
+		r.data[v.Global(int(mv.dest))] = vals[mv.src]
 	}
 	Release(v.m, cleared)
+	Release(v.m, vals)
 	Release(v.m, moves)
 	v.charge(OpRoute, 1)
 }
@@ -472,22 +518,37 @@ func Route[T any](v View, r *Reg[T], clear T, sel func(local int, val T) (dest i
 // The concentration executes as a stable sort on the predicate through
 // runSort — satisfying records before the rest, order preserved within each
 // group — so the fault-injection and audit seams cover it like every other
-// charged sort. The non-satisfying tail is overwritten with clear after the
-// sort (and after the audit's reference comparison).
+// charged sort. The sorted bank holds {pred, source index} picks over the
+// gathered cells; the audit compares the cells the picks name, so only a
+// fault that changes the concentrated values is reported. The
+// non-satisfying tail is overwritten with clear after the sort (and after
+// the audit's reference comparison).
 func Concentrate[T any](v View, r *Reg[T], clearVal T, pred func(T) bool) int {
+	type pick struct {
+		sel bool
+		src int32
+	}
 	v = v.begin(OpConcentrate)
 	xs := gatherScratch(v, r)
+	picks := Checkout[pick](v.m, len(xs))
 	k := 0
-	for _, x := range xs {
-		if pred(x) {
+	for i, x := range xs {
+		p := pred(x)
+		if p {
 			k++
 		}
+		picks[i] = pick{p, int32(i)}
 	}
-	runSort(v, "Concentrate", xs, func(a, b T) bool { return pred(a) && !pred(b) })
-	for i := k; i < len(xs); i++ {
-		xs[i] = clearVal
+	runSortEq(v, "Concentrate", picks, func(a, b pick) bool { return a.sel && !b.sel },
+		func(a, b pick) bool { return reflect.DeepEqual(xs[a.src], xs[b.src]) })
+	for i, p := range picks {
+		if i < k {
+			r.data[v.Global(i)] = xs[p.src]
+		} else {
+			r.data[v.Global(i)] = clearVal
+		}
 	}
-	scatter(v, r, xs)
+	Release(v.m, picks)
 	Release(v.m, xs)
 	v.charge(OpConcentrate, v.rowMajorSortCost())
 	return k

@@ -3,23 +3,132 @@ package mesh
 import (
 	"fmt"
 	"reflect"
-	"slices"
 )
 
-// sortStable stable-sorts xs by less without reflection or allocation
-// (sort.SliceStable boxes the slice and builds a reflect.Swapper on every
-// call, which is what made sorting dominate the allocation profile).
+// sortStable stable-sorts xs by less in place, without reflection or
+// allocation, calling less exactly once per comparison. It is the scheme of
+// the standard library's stable sort — insertion-sorted blocks of 20 merged
+// pairwise by SymMerge (Kim & Kutzner, ESA 2004) — written against less
+// directly: adapting less to a three-way compare costs a second call
+// whenever the first answers false. O(n·log n) comparisons, O(n·log² n)
+// moves, no scratch memory.
 func sortStable[T any](xs []T, less func(a, b T) bool) {
-	slices.SortStableFunc(xs, func(a, b T) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		default:
-			return 0
+	n := len(xs)
+	blockSize := 20
+	a, b := 0, blockSize
+	for b <= n {
+		insertionSort(xs, a, b, less)
+		a = b
+		b += blockSize
+	}
+	insertionSort(xs, a, n, less)
+	for blockSize < n {
+		a, b = 0, 2*blockSize
+		for b <= n {
+			symMerge(xs, a, a+blockSize, b, less)
+			a = b
+			b += 2 * blockSize
 		}
-	})
+		if m := a + blockSize; m < n {
+			symMerge(xs, a, m, n, less)
+		}
+		blockSize *= 2
+	}
+}
+
+// insertionSort stable-sorts xs[a:b].
+func insertionSort[T any](xs []T, a, b int, less func(a, b T) bool) {
+	for i := a + 1; i < b; i++ {
+		for j := i; j > a && less(xs[j], xs[j-1]); j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+}
+
+// symMerge merges the sorted runs xs[a:m] and xs[m:b] in place, stably.
+func symMerge[T any](xs []T, a, m, b int, less func(a, b T) bool) {
+	// A one-element left run: binary-search its place in the right run
+	// and rotate it there by adjacent swaps.
+	if m-a == 1 {
+		i, j := m, b
+		for i < j {
+			h := int(uint(i+j) >> 1)
+			if less(xs[h], xs[a]) {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
+		for k := a; k < i-1; k++ {
+			xs[k], xs[k+1] = xs[k+1], xs[k]
+		}
+		return
+	}
+	// A one-element right run: the mirror image.
+	if b-m == 1 {
+		i, j := a, m
+		for i < j {
+			h := int(uint(i+j) >> 1)
+			if !less(xs[m], xs[h]) {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
+		for k := m; k > i; k-- {
+			xs[k], xs[k-1] = xs[k-1], xs[k]
+		}
+		return
+	}
+	mid := int(uint(a+b) >> 1)
+	n := mid + m
+	var start, r int
+	if m > mid {
+		start, r = n-b, mid
+	} else {
+		start, r = a, m
+	}
+	p := n - 1
+	for start < r {
+		c := int(uint(start+r) >> 1)
+		if !less(xs[p-c], xs[c]) {
+			start = c + 1
+		} else {
+			r = c
+		}
+	}
+	end := n - start
+	if start < m && m < end {
+		rotate(xs, start, m, end)
+	}
+	if a < start && start < mid {
+		symMerge(xs, a, start, mid, less)
+	}
+	if mid < end && end < b {
+		symMerge(xs, mid, end, b, less)
+	}
+}
+
+// rotate swaps the adjacent blocks xs[a:m] and xs[m:b] in place.
+func rotate[T any](xs []T, a, m, b int) {
+	i, j := m-a, b-m
+	for i != j {
+		if i > j {
+			swapRange(xs, m-i, m, j)
+			i -= j
+		} else {
+			swapRange(xs, m-i, m+j-i, i)
+			j -= i
+		}
+	}
+	swapRange(xs, m-i, m, i)
+}
+
+// swapRange swaps xs[a:a+n] with xs[b:b+n].
+func swapRange[T any](xs []T, a, b, n int) {
+	for i := 0; i < n; i++ {
+		xs[a+i], xs[b+i] = xs[b+i], xs[a+i]
+	}
 }
 
 // runSort is the single execution point of every charged sort: it applies
@@ -29,6 +138,14 @@ func sortStable[T any](xs []T, less func(a, b T) bool) {
 // own cost lines. With injection and audit off it is exactly sortStable:
 // two nil/bool checks, no allocation.
 func runSort[T any](v View, op string, xs []T, less func(a, b T) bool) {
+	runSortEq(v, op, xs, less, nil)
+}
+
+// runSortEq is runSort whose audit compares sorted records with eq instead
+// of reflect.DeepEqual, for banks whose records stand for values held
+// elsewhere (Concentrate's picks): a fault that leaves the values in place
+// is harmless and stays unreported, as it would on a bank of the values.
+func runSortEq[T any](v View, op string, xs []T, less func(a, b T) bool, eq func(a, b T) bool) {
 	m := v.m
 	var ref []T
 	if m.audit && len(xs) > 0 {
@@ -53,9 +170,12 @@ func runSort[T any](v View, op string, xs []T, less func(a, b T) bool) {
 		sortStable(xs, less)
 	}
 	if ref != nil {
+		if eq == nil {
+			eq = func(a, b T) bool { return reflect.DeepEqual(a, b) }
+		}
 		sortStable(ref, less)
 		for i := range ref {
-			if !reflect.DeepEqual(xs[i], ref[i]) {
+			if !eq(xs[i], ref[i]) {
 				panic(&AuditError{
 					Geom: m.geometry(),
 					Op:   op,

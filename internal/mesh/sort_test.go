@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -230,4 +231,30 @@ func TestSortScratchPanicsOnOverflow(t *testing.T) {
 		}
 	}()
 	SortScratch(v, make([]int, 9), 2, func(a, b int) bool { return a < b })
+}
+
+// TestSortStableMatchesStdlib pins the in-package stable sort across the
+// insertion-block and SymMerge paths: the same order as the standard
+// library's stable sort on inputs full of equal keys, with exactly one less
+// call per comparison the standard library's scheme makes.
+func TestSortStableMatchesStdlib(t *testing.T) {
+	type kv struct{ k, seq int }
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 19, 20, 21, 39, 40, 41, 100, 257, 1000} {
+		xs := make([]kv, n)
+		for i := range xs {
+			xs[i] = kv{rng.Intn(8), i}
+		}
+		want := append([]kv(nil), xs...)
+		cmps := 0
+		slices.SortStableFunc(want, func(a, b kv) int { cmps++; return a.k - b.k })
+		calls := 0
+		sortStable(xs, func(a, b kv) bool { calls++; return a.k < b.k })
+		if !slices.Equal(xs, want) {
+			t.Fatalf("n=%d: order differs from the standard library's stable sort", n)
+		}
+		if calls != cmps {
+			t.Fatalf("n=%d: %d less calls for %d comparisons", n, calls, cmps)
+		}
+	}
 }
