@@ -61,9 +61,10 @@ func TestAdvanceRangeAllocsSteadyState(t *testing.T) {
 }
 
 // TestThinBankPrimitivesAllocFree pins the arena contract of the thin sort
-// banks: after one warm-up call, RAR and RAW over graph.Vertex values and
-// Route over Query records check their item, value and move banks out of
-// the mesh's arena and allocate nothing per call.
+// banks: after one warm-up call, RAR and RAW over graph.Vertex values, RAR
+// over *graph.Vertex values (core's pointer reads), and Route over Query
+// records check their item, value, merge and move banks out of the mesh's
+// arena and allocate nothing per call.
 func TestThinBankPrimitivesAllocFree(t *testing.T) {
 	m := mesh.New(16)
 	v := m.Root()
@@ -87,6 +88,11 @@ func TestThinBankPrimitivesAllocFree(t *testing.T) {
 				},
 				func(i int) (graph.VertexID, bool) { return graph.VertexID((i * 7) % n), true },
 				func(i int, nd graph.Vertex, found bool) { sink += int64(nd.Level) })
+		}},
+		{"RAR by pointer", func() {
+			mesh.RAR(v, nodeRecord(v, nodes),
+				func(i int) (graph.VertexID, bool) { return graph.VertexID((i * 7) % n), true },
+				func(i int, nd *graph.Vertex, found bool) { sink += int64(nd.Level) })
 		}},
 		{"RAW", func() {
 			mesh.RAW(v,

@@ -340,22 +340,18 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 			copies, staged := in.layer(l)
 			live := mesh.Count(sub, staged, func(q Query) bool { return q.ID != NoQuery && q.Mark })
 			for it := 0; it < steps && live > 0; it++ {
-				mesh.RAR(sub,
-					func(i int) (graph.VertexID, graph.Vertex, bool) {
-						nd := mesh.Ref(sub, copies, i)
-						return nd.ID, *nd, nd.ID != graph.Nil
-					},
+				mesh.RAR(sub, nodeRecord(sub, copies),
 					func(i int) (graph.VertexID, bool) {
 						q := mesh.Ref(sub, staged, i)
 						return q.Cur, q.ID != NoQuery && q.Mark
 					},
-					func(i int, nd graph.Vertex, found bool) {
+					func(i int, nd *graph.Vertex, found bool) {
 						q := mesh.Ref(sub, staged, i)
 						if !found {
 							panic(fmt.Sprintf("core: staged query %d missing vertex %d in its δ-submesh copy", q.ID, q.Cur))
 						}
 						oldPart := q.partFor(slot)
-						Visit(in.F, nd, q)
+						Visit(in.F, *nd, q)
 						advanced[si]++
 						if q.Done || q.partFor(slot) != oldPart {
 							q.Mark = false

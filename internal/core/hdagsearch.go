@@ -315,21 +315,17 @@ func solveLemma1(sub mesh.View, in *Instance, regs *hdagRegs, blk HDagBlock) int
 // queries advanced.
 func advanceRange(v mesh.View, in *Instance, nodes *mesh.Reg[graph.Vertex], lo, hi int) int64 {
 	var advanced int64
-	mesh.RAR(v,
-		func(i int) (graph.VertexID, graph.Vertex, bool) {
-			nd := mesh.Ref(v, nodes, i)
-			return nd.ID, *nd, nd.ID != graph.Nil
-		},
+	mesh.RAR(v, nodeRecord(v, nodes),
 		func(i int) (graph.VertexID, bool) {
 			q := mesh.Ref(v, in.Queries, i)
 			return q.Cur, q.ID != NoQuery && !q.Done && int(q.CurLevel) >= lo && int(q.CurLevel) <= hi
 		},
-		func(i int, nd graph.Vertex, found bool) {
+		func(i int, nd *graph.Vertex, found bool) {
 			q := mesh.Ref(v, in.Queries, i)
 			if !found {
 				panic(fmt.Sprintf("core: query %d: vertex %d (level %d) missing from its submesh copy", q.ID, q.Cur, q.CurLevel))
 			}
-			Visit(in.F, nd, q)
+			Visit(in.F, *nd, q)
 			advanced++
 		})
 	return advanced

@@ -184,20 +184,29 @@ func (in *Instance) layer(i int) (*mesh.Reg[graph.Vertex], *mesh.Reg[Query]) {
 	return in.copies[i], in.staged[i]
 }
 
+// nodeRecord is the record side of core's vertex RARs: every processor
+// holding a vertex of nodes offers it under its ID. The RAR carries a
+// pointer into the register instead of a copy of the vertex, so a record
+// no request reads costs nothing to move; the deliveries of these reads
+// write only query registers, so every pointee is still the vertex the RAR
+// read when the delivery dereferences it.
+func nodeRecord(v mesh.View, nodes *mesh.Reg[graph.Vertex]) func(int) (graph.VertexID, *graph.Vertex, bool) {
+	return func(i int) (graph.VertexID, *graph.Vertex, bool) {
+		nd := mesh.Ref(v, nodes, i)
+		return nd.ID, nd, nd.ID != graph.Nil
+	}
+}
+
 // Prime performs the initial full-mesh random-access read that tells every
 // query the splitter membership and level of its start vertex. One RAR,
 // O(Sort(n)) time. Must run once before the first multistep.
 func (in *Instance) Prime(v mesh.View) {
-	mesh.RAR(v,
-		func(i int) (graph.VertexID, graph.Vertex, bool) {
-			nd := mesh.Ref(v, in.Nodes, i)
-			return nd.ID, *nd, nd.ID != graph.Nil
-		},
+	mesh.RAR(v, nodeRecord(v, in.Nodes),
 		func(i int) (graph.VertexID, bool) {
 			q := mesh.Ref(v, in.Queries, i)
 			return q.Cur, q.ID != NoQuery && !q.Done
 		},
-		func(i int, nd graph.Vertex, found bool) {
+		func(i int, nd *graph.Vertex, found bool) {
 			if !found {
 				panic(fmt.Sprintf("core: query at %d starts at unknown vertex", i))
 			}
@@ -214,20 +223,16 @@ func (in *Instance) Prime(v mesh.View) {
 // next node in its search path"). Returns the number of queries advanced.
 func (in *Instance) GlobalStep(v mesh.View) int {
 	advanced := 0
-	mesh.RAR(v,
-		func(i int) (graph.VertexID, graph.Vertex, bool) {
-			nd := mesh.Ref(v, in.Nodes, i)
-			return nd.ID, *nd, nd.ID != graph.Nil
-		},
+	mesh.RAR(v, nodeRecord(v, in.Nodes),
 		func(i int) (graph.VertexID, bool) {
 			q := mesh.Ref(v, in.Queries, i)
 			return q.Cur, q.ID != NoQuery && !q.Done
 		},
-		func(i int, nd graph.Vertex, found bool) {
+		func(i int, nd *graph.Vertex, found bool) {
 			if !found {
 				panic(fmt.Sprintf("core: query at %d visits unknown vertex", i))
 			}
-			Visit(in.F, nd, mesh.Ref(v, in.Queries, i))
+			Visit(in.F, *nd, mesh.Ref(v, in.Queries, i))
 			advanced++
 		})
 	return advanced

@@ -146,22 +146,23 @@ type Fleet struct {
 	mu     sync.RWMutex // guards closed against Lookup and restarts
 	closed bool
 
-	dispatched     atomic.Int64
-	failovers      atomic.Int64 // re-dispatch attempts after a failed pick
-	failoverServed atomic.Int64 // lookups answered by a non-first pick
-	oracleServed   atomic.Int64 // lookups answered by the fleet oracle
-	overloadedAll  atomic.Int64 // rejected: every routable replica was full
-	unrouted       atomic.Int64 // lookups that found no routable replica
-	crashes        atomic.Int64
-	restarts       atomic.Int64
-	budgetShed     atomic.Int64 // dispatches skipped: deadline budget below expected round time
-	hedges         atomic.Int64 // speculative second dispatches launched
-	hedgeWins      atomic.Int64 // hedges whose answer arrived first
-	ejections      atomic.Int64 // latency-outlier ejections (auto + manual)
-	readmissions   atomic.Int64 // ejections cleared (probes or manual)
-	ejectProbes    atomic.Int64 // canary probes sent to ejected replicas
-	hedgeDelayNS   atomic.Int64 // cached derived hedge delay
-	hedgeDelayAt   atomic.Int64 // unix ns the cache was filled
+	dispatched      atomic.Int64
+	failovers       atomic.Int64 // re-dispatch attempts after a failed pick
+	firstPickServed atomic.Int64 // lookups answered by the first pick
+	failoverServed  atomic.Int64 // lookups answered by a non-first pick
+	oracleServed    atomic.Int64 // lookups answered by the fleet oracle
+	overloadedAll   atomic.Int64 // rejected: every routable replica was full
+	unrouted        atomic.Int64 // lookups that found no routable replica
+	crashes         atomic.Int64
+	restarts        atomic.Int64
+	budgetShed      atomic.Int64 // dispatches skipped: deadline budget below expected round time
+	hedges          atomic.Int64 // speculative second dispatches launched
+	hedgeWins       atomic.Int64 // hedges whose answer arrived first
+	ejections       atomic.Int64 // latency-outlier ejections (auto + manual)
+	readmissions    atomic.Int64 // ejections cleared (probes or manual)
+	ejectProbes     atomic.Int64 // canary probes sent to ejected replicas
+	hedgeDelayNS    atomic.Int64 // cached derived hedge delay
+	hedgeDelayAt    atomic.Int64 // unix ns the cache was filled
 
 	probeStop   chan struct{} // closes to stop the re-admission prober
 	probeDone   chan struct{} // closed when the prober has exited
@@ -402,6 +403,8 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 			failedOver := idx != firstIdx
 			if failedOver {
 				f.failoverServed.Add(1)
+			} else {
+				f.firstPickServed.Add(1)
 			}
 			e2e := time.Since(start)
 			f.lat.Observe(e2e)
@@ -749,14 +752,18 @@ type Stats struct {
 	Policy           string `json:"policy"`
 	Health           string `json:"health"`
 
-	Dispatched     int64 `json:"dispatched"`
-	Failovers      int64 `json:"failovers"`
-	FailoverServed int64 `json:"failover_served"`
-	OracleServed   int64 `json:"oracle_served"`
-	OverloadedAll  int64 `json:"overloaded_all"`
-	Unrouted       int64 `json:"unrouted"`
-	Crashes        int64 `json:"crashes"`
-	Restarts       int64 `json:"restarts"`
+	// Answered lookups split by serving rung: FirstPickServed +
+	// FailoverServed + OracleServed is every answered lookup. Dispatched
+	// also counts lookups that returned an error.
+	Dispatched      int64 `json:"dispatched"`
+	Failovers       int64 `json:"failovers"`
+	FirstPickServed int64 `json:"first_pick_served"`
+	FailoverServed  int64 `json:"failover_served"`
+	OracleServed    int64 `json:"oracle_served"`
+	OverloadedAll   int64 `json:"overloaded_all"`
+	Unrouted        int64 `json:"unrouted"`
+	Crashes         int64 `json:"crashes"`
+	Restarts        int64 `json:"restarts"`
 
 	// Gray-failure counters (§3.11). BudgetShed here counts *fleet-side*
 	// pre-dispatch sheds (replica skipped because its expected round time
@@ -805,6 +812,7 @@ func (f *Fleet) Stats() Stats {
 		Health:            f.Health().String(),
 		Dispatched:        f.dispatched.Load(),
 		Failovers:         f.failovers.Load(),
+		FirstPickServed:   f.firstPickServed.Load(),
 		FailoverServed:    f.failoverServed.Load(),
 		OracleServed:      f.oracleServed.Load(),
 		OverloadedAll:     f.overloadedAll.Load(),

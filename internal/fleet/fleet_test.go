@@ -3,6 +3,9 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -424,4 +427,153 @@ func TestShutdownDrainsAllReplicas(t *testing.T) {
 	if f.Health() != serve.LameDuck {
 		t.Fatalf("post-shutdown health %v, want %v", f.Health(), serve.LameDuck)
 	}
+}
+
+// rungCounts is a tally of answered lookups by serving rung.
+type rungCounts struct{ firstPick, failover, oracle int64 }
+
+// checkRungs requires the fleet's answer rungs to equal what its clients
+// observed, to sum to the kinds' answered lookups, and to be what the
+// Prometheus exposition renders.
+func checkRungs(t *testing.T, f *Fleet, want rungCounts, dispatched int64) {
+	t.Helper()
+	st := f.Stats()
+	got := rungCounts{st.FirstPickServed, st.FailoverServed, st.OracleServed}
+	if got != want {
+		t.Errorf("answer rungs %+v, clients observed %+v", got, want)
+	}
+	var served int64
+	for _, k := range st.ByKind {
+		served += k.Served
+	}
+	if sum := got.firstPick + got.failover + got.oracle; sum != served {
+		t.Errorf("answer rungs sum to %d, kinds served %d", sum, served)
+	}
+	if st.Dispatched != dispatched {
+		t.Errorf("dispatched %d, clients sent %d", st.Dispatched, dispatched)
+	}
+	rec := httptest.NewRecorder()
+	f.promMetrics(rec)
+	for rung, n := range map[string]int64{"first_pick": want.firstPick, "failover": want.failover, "oracle": want.oracle} {
+		line := fmt.Sprintf("meshfleet_answers_total{rung=%q} %d\n", rung, n)
+		if !strings.Contains(rec.Body.String(), line) {
+			t.Errorf("exposition lacks %q", strings.TrimSpace(line))
+		}
+	}
+}
+
+// TestAnswerRungsConserved pins the fleet's answer bookkeeping: every
+// answered lookup is counted on exactly one rung (first pick, failover,
+// fleet oracle), and a lookup that returns an error is counted on none — a
+// cancelled lookup, and a lookup whose every rung failed with the oracle
+// disabled. An unrouted lookup the oracle answers counts once, as oracle.
+func TestAnswerRungsConserved(t *testing.T) {
+	f := newTestFleet(t, Config{
+		Replicas: 2,
+		Policy:   LeastLoaded(), // ties break to replica 0, the broken one
+		Instance: serve.Config{
+			Side: 8, Audit: true, MaxRetries: -1,
+			Linger: 100 * time.Microsecond, RetryBackoff: 10 * time.Microsecond,
+		},
+		MakeInjector: func(i int) mesh.Injector {
+			if i == 0 {
+				return brokenInjector{}
+			}
+			return nil
+		},
+	})
+	var seen rungCounts
+	var sent int64
+	observe := func(ctx context.Context, needle int64) error {
+		sent++
+		res, err := f.Lookup(ctx, needle)
+		if err != nil {
+			return err
+		}
+		checkAnswer(t, f, needle, res)
+		switch {
+		case res.Replica < 0:
+			seen.oracle++
+		case f.instance(0) != nil:
+			// Replica 0 is up and never answers: it was the first pick.
+			seen.failover++
+		default:
+			seen.firstPick++
+		}
+		return nil
+	}
+
+	for i := int64(0); i < 6; i++ {
+		if err := observe(context.Background(), 2*i+1); err != nil {
+			t.Fatalf("failover lookup: %v", err)
+		}
+	}
+	if err := f.CrashReplica(0); err != nil {
+		t.Fatal(err)
+	}
+	// With replica 0 down, replica 1 is every lookup's first pick. The
+	// concurrent burst runs the counters against each other under -race.
+	const burst = 16
+	var wg sync.WaitGroup
+	var burstAnswered atomic.Int64
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := f.Lookup(context.Background(), int64(i))
+			if err != nil || res.Replica != 1 {
+				t.Errorf("burst lookup %d: replica %d, err %v", i, res.Replica, err)
+				return
+			}
+			checkAnswer(t, f, int64(i), res)
+			burstAnswered.Add(1)
+		}()
+	}
+	wg.Wait()
+	sent += burst
+	seen.firstPick += burstAnswered.Load()
+
+	// A cancelled client gets its context error, not an answer.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	errs := 0
+	for i := int64(0); i < 3; i++ {
+		if err := observe(cancelled, i); err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled lookup: %v", err)
+			}
+			errs++
+		}
+	}
+	if errs == 0 {
+		t.Fatal("no cancelled lookup returned its context error")
+	}
+
+	// With every replica down the lookup is unrouted and the oracle answers.
+	if err := f.CrashReplica(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 4; i++ {
+		if err := observe(context.Background(), i); err != nil {
+			t.Fatalf("oracle lookup: %v", err)
+		}
+	}
+	if st := f.Stats(); st.Unrouted != 4 {
+		t.Fatalf("unrouted %d, want 4", st.Unrouted)
+	}
+	checkRungs(t, f, seen, sent)
+
+	t.Run("DisableOracle with every rung failed", func(t *testing.T) {
+		f2 := newTestFleet(t, Config{
+			Replicas: 1, DisableOracle: true,
+			Instance:     serve.Config{Side: 8, Audit: true, MaxRetries: -1, Linger: 100 * time.Microsecond},
+			MakeInjector: func(int) mesh.Injector { return brokenInjector{} },
+		})
+		for i := int64(0); i < 3; i++ {
+			if _, err := f2.Lookup(context.Background(), 2*i+1); err == nil {
+				t.Fatal("a lookup on a broken replica with the oracle disabled was answered")
+			}
+		}
+		checkRungs(t, f2, rungCounts{}, 3)
+	})
 }

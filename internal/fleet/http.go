@@ -179,7 +179,7 @@ func (f *Fleet) promMetrics(w http.ResponseWriter) {
 
 	pw.Counter("meshfleet_dispatched_total", "Lookups dispatched through the router.", float64(st.Dispatched))
 	pw.Counter("meshfleet_failovers_total", "Re-dispatch attempts after a failed pick.", float64(st.Failovers))
-	pw.Counter("meshfleet_answers_total", "Answered lookups by serving rung.", float64(st.Dispatched-st.FailoverServed-st.OracleServed-st.OverloadedAll-st.Unrouted), "rung", "first_pick")
+	pw.Counter("meshfleet_answers_total", "Answered lookups by serving rung.", float64(st.FirstPickServed), "rung", "first_pick")
 	pw.Counter("meshfleet_answers_total", "Answered lookups by serving rung.", float64(st.FailoverServed), "rung", "failover")
 	pw.Counter("meshfleet_answers_total", "Answered lookups by serving rung.", float64(st.OracleServed), "rung", "oracle")
 	pw.Counter("meshfleet_overloaded_total", "Lookups rejected with every routable replica admission-full.", float64(st.OverloadedAll))

@@ -23,23 +23,51 @@ import (
 // Released buffers are not zeroed: like the register file, they persist for
 // the lifetime of the Mesh and are garbage-collected with it.
 
+// arena maps each element type to its free list. A new Mesh has no pools;
+// the first Checkout of a type creates one. A plain map under a read-write
+// lock costs a few allocations as it grows, where a sync.Map costs a node
+// per entry, and a fresh mesh creates a dozen or so pools.
+type arena struct {
+	mu    sync.RWMutex
+	pools map[reflect.Type]any // *scratchPool[T] keyed by the type of *T
+}
+
 // scratchPool is the free list for one element type. The pointer is stored
-// type-erased in Mesh.pools; Checkout/Release recover the typed view, so no
+// type-erased in the arena; Checkout/Release recover the typed view, so no
 // boxing happens on the steady-state path.
 type scratchPool[T any] struct {
 	mu   sync.Mutex
 	free [][]T // each with len 0, cap ≥ 2·N() (or a larger custom request)
+	// slots backs free until more than poolSlots buffers are released at
+	// once: room for the banks and merge buffers of one type that
+	// concurrent submesh bodies hold, in the pool's own allocation.
+	slots [poolSlots][]T
 }
+
+// poolSlots is the free-list capacity a pool starts with.
+const poolSlots = 8
 
 // poolFor returns (creating if needed) the free list for element type T.
 // The lookup is allocation-free: the key is the reflect.Type of *T, built
 // from a nil pointer that needs no boxing.
 func poolFor[T any](m *Mesh) *scratchPool[T] {
 	key := reflect.TypeOf((*T)(nil))
-	if p, ok := m.pools.Load(key); ok {
-		return p.(*scratchPool[T])
+	a := &m.pools
+	a.mu.RLock()
+	p, ok := a.pools[key]
+	a.mu.RUnlock()
+	if !ok {
+		a.mu.Lock()
+		if p, ok = a.pools[key]; !ok {
+			if a.pools == nil {
+				a.pools = make(map[reflect.Type]any, 16)
+			}
+			sp := &scratchPool[T]{}
+			sp.free = sp.slots[:0]
+			a.pools[key], p = sp, sp
+		}
+		a.mu.Unlock()
 	}
-	p, _ := m.pools.LoadOrStore(key, &scratchPool[T]{})
 	return p.(*scratchPool[T])
 }
 

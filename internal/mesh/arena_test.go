@@ -65,6 +65,47 @@ func TestSortConcentrateAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// The sort engine's banks come from the arena too: the merge buffer of a
+// scratch sort over a 2m bank, and the count bank and output bank of the
+// counting sort-back in RAR and RAW. After one warm-up call none of them
+// allocates.
+func TestSortEngineAllocFree(t *testing.T) {
+	m := New(32)
+	v := m.Root()
+	n := v.Size()
+	bank := make([]int64, 2*n)
+	ops := []struct {
+		name string
+		f    func()
+	}{
+		{"SortScratch", func() {
+			for i := range bank {
+				bank[i] = int64((i * 7919) % 1009)
+			}
+			SortScratch(v, bank, 2, func(a, b int64) bool { return a < b })
+		}},
+		{"RAR", func() {
+			RAR(v,
+				func(i int) (int64, int64, bool) { return int64(i), int64(i) * 3, true },
+				func(i int) (int64, bool) { return int64((i * 7) % n), true },
+				func(i int, val int64, found bool) {})
+		}},
+		{"RAW", func() {
+			RAW(v,
+				func(i int) (int64, bool) { return int64(i), true },
+				func(i int) (int64, int64, bool) { return int64((i * 5) % n), int64(i), true },
+				func(a, b int64) int64 { return a + b },
+				func(i int, val int64, any bool) {})
+		}},
+	}
+	for _, op := range ops {
+		op.f()
+		if allocs := testing.AllocsPerRun(20, op.f); allocs != 0 {
+			t.Errorf("steady-state %s allocates %.1f per call, want 0", op.name, allocs)
+		}
+	}
+}
+
 // Concurrent submesh bodies must be able to check pooled buffers in and out
 // without interfering; run with -race in CI. Each body sorts, RARs and
 // concentrates inside its own sub-view; the parent's registers elsewhere

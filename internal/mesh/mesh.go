@@ -69,7 +69,7 @@ type Mesh struct {
 
 	// pools is the scratch-buffer arena: one free list per element type
 	// (see arena.go).
-	pools sync.Map
+	pools arena
 
 	// Run control (see errors.go). budget 0 means unlimited; done is the
 	// Done channel of the context installed with WithContext (nil when the

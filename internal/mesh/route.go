@@ -31,7 +31,7 @@ import (
 // per processor of the view, charging perProc row-major sorts.
 func SortScratch[T any](v View, xs []T, perProc int, less func(a, b T) bool) {
 	v = v.begin(OpSort)
-	sortSlice(v, "SortScratch", xs, perProc, less)
+	sortSlice(v, "SortScratch", xs, perProc, less, nil, 0)
 }
 
 // ScanScratch performs a segmented inclusive scan over scratch bank xs in
@@ -77,7 +77,7 @@ func collectMoves[T any](v View, read func(local int) T, sel func(local int, val
 			vals = append(vals, val)
 		}
 	}
-	sortSlice(v, opName, moves, 1, func(a, b move) bool { return a.dest < b.dest })
+	sortSlice(v, opName, moves, 1, func(a, b move) bool { return a.dest < b.dest }, nil, 0)
 	for i := 1; i < len(moves); i++ {
 		if moves[i].dest == moves[i-1].dest {
 			panic("mesh: " + opName + " destination collision")
@@ -197,8 +197,9 @@ func auditAllDelivered[V any](v View, op string, expect map[int32]*rarExpect[V])
 //
 // Mesh realization charged here: sort the 2m-item bank by (key, records
 // first); copy-scan record values across the requests that follow them;
-// sort the requests back by origin. Cost: 1 double-sort + 1 double-scan +
-// 1 single sort.
+// sort the requests back by origin (on the host a counting sort, the
+// origins being dense; see runSortEq). Cost: 1 double-sort + 1 double-scan
+// + 1 single sort.
 //
 // In audit mode every delivery is cross-checked against a host-side oracle
 // built from the pristine item bank, and each pending request must be
@@ -262,7 +263,7 @@ func RAR[K cmp.Ordered, V any](v View,
 			return a.key < b.key
 		}
 		return !a.isReq && b.isReq
-	})
+	}, nil, 0)
 	scanSlice(v, "RAR", items, 2,
 		func(i int) bool { return i == 0 || items[i].key != items[i-1].key },
 		func(a, b item) item {
@@ -279,7 +280,8 @@ func RAR[K cmp.Ordered, V any](v View,
 			reqs = append(reqs, it)
 		}
 	}
-	sortSlice(v, "RAR", reqs, 1, func(a, b item) bool { return a.origin < b.origin })
+	sortSlice(v, "RAR", reqs, 1, func(a, b item) bool { return a.origin < b.origin },
+		func(it item) int { return int(it.origin) }, m)
 	// Delivery sweep, with optional reply-fault injection: a dropped reply
 	// is skipped, a duplicated reply lands a second time at another
 	// request's origin.
@@ -328,8 +330,8 @@ func RAR[K cmp.Ordered, V any](v View,
 //
 // Mesh realization charged here: sort the 2m-item bank by (key, record
 // first); a reverse segmented copy-scan folds each key's writes together
-// onto its record; sort the records back by origin. Cost: 1 double-sort +
-// 1 double-scan + 1 single sort.
+// onto its record; sort the records back by origin (a counting sort on the
+// host, as in RAR). Cost: 1 double-sort + 1 double-scan + 1 single sort.
 //
 // In audit mode every record delivery is cross-checked against a host-side
 // fold of the pristine write set, mirroring RAR's oracle.
@@ -396,7 +398,7 @@ func RAW[K cmp.Ordered, V any](v View,
 			return a.key < b.key
 		}
 		return a.isRec && !b.isRec
-	})
+	}, nil, 0)
 	// Reverse scan: fold write values toward the record at the front of
 	// each key segment. b is always the unscanned cell at i, so a combining
 	// b still names its own write, and slot fold+i is written only for
@@ -421,7 +423,8 @@ func RAW[K cmp.Ordered, V any](v View,
 			recs = append(recs, it)
 		}
 	}
-	sortSlice(v, "RAW", recs, 1, func(a, b item) bool { return a.origin < b.origin })
+	sortSlice(v, "RAW", recs, 1, func(a, b item) bool { return a.origin < b.origin },
+		func(it item) int { return int(it.origin) }, m)
 	for _, it := range recs {
 		var val V
 		if it.has {
@@ -540,7 +543,7 @@ func Concentrate[T any](v View, r *Reg[T], clearVal T, pred func(T) bool) int {
 		picks[i] = pick{p, int32(i)}
 	}
 	runSortEq(v, "Concentrate", picks, func(a, b pick) bool { return a.sel && !b.sel },
-		func(a, b pick) bool { return reflect.DeepEqual(xs[a.src], xs[b.src]) })
+		func(a, b pick) bool { return reflect.DeepEqual(xs[a.src], xs[b.src]) }, nil, 0)
 	for i, p := range picks {
 		if i < k {
 			r.data[v.Global(i)] = xs[p.src]

@@ -5,175 +5,167 @@ import (
 	"reflect"
 )
 
-// sortStable stable-sorts xs by less in place, without reflection or
-// allocation, calling less exactly once per comparison. It is the scheme of
-// the standard library's stable sort — insertion-sorted blocks of 20 merged
-// pairwise by SymMerge (Kim & Kutzner, ESA 2004) — written against less
-// directly: adapting less to a three-way compare costs a second call
-// whenever the first answers false. O(n·log n) comparisons, O(n·log² n)
-// moves, no scratch memory.
-func sortStable[T any](xs []T, less func(a, b T) bool) {
+// sortBlock is the run length sortStable insertion-sorts before merging. A
+// power of two keeps the comparison count within n·⌈log₂ n⌉: a block of b
+// records costs at most ⌈log₂ b⌉ comparisons per record, which is the number
+// of merge levels it saves.
+const sortBlock = 16
+
+// sortStable stable-sorts xs by less without allocating, calling less once
+// per comparison. It insertion-sorts blocks of sortBlock records, then
+// merges runs bottom-up, each level moving every record once between xs and
+// buf (len(buf) ≥ len(xs); unused, and may be nil, when len(xs) ≤
+// sortBlock); a pair of runs already in order costs one comparison and a
+// copy. At most n·⌈log₂ n⌉ comparisons and O(n·log n) moves.
+func sortStable[T any](xs, buf []T, less func(a, b T) bool) {
 	n := len(xs)
-	blockSize := 20
-	a, b := 0, blockSize
-	for b <= n {
-		insertionSort(xs, a, b, less)
-		a = b
-		b += blockSize
+	for a := 0; a < n; a += sortBlock {
+		insertionSort(xs[a:min(a+sortBlock, n)], less)
 	}
-	insertionSort(xs, a, n, less)
-	for blockSize < n {
-		a, b = 0, 2*blockSize
-		for b <= n {
-			symMerge(xs, a, a+blockSize, b, less)
-			a = b
-			b += 2 * blockSize
-		}
-		if m := a + blockSize; m < n {
-			symMerge(xs, a, m, n, less)
-		}
-		blockSize *= 2
-	}
-}
-
-// insertionSort stable-sorts xs[a:b].
-func insertionSort[T any](xs []T, a, b int, less func(a, b T) bool) {
-	for i := a + 1; i < b; i++ {
-		for j := i; j > a && less(xs[j], xs[j-1]); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// symMerge merges the sorted runs xs[a:m] and xs[m:b] in place, stably.
-func symMerge[T any](xs []T, a, m, b int, less func(a, b T) bool) {
-	// A one-element left run: binary-search its place in the right run
-	// and rotate it there by adjacent swaps.
-	if m-a == 1 {
-		i, j := m, b
-		for i < j {
-			h := int(uint(i+j) >> 1)
-			if less(xs[h], xs[a]) {
-				i = h + 1
-			} else {
-				j = h
-			}
-		}
-		for k := a; k < i-1; k++ {
-			xs[k], xs[k+1] = xs[k+1], xs[k]
-		}
+	if n <= sortBlock {
 		return
 	}
-	// A one-element right run: the mirror image.
-	if b-m == 1 {
-		i, j := a, m
-		for i < j {
-			h := int(uint(i+j) >> 1)
-			if !less(xs[m], xs[h]) {
-				i = h + 1
+	src, dst := xs, buf[:n]
+	for w := sortBlock; w < n; w *= 2 {
+		for a := 0; a < n; a += 2 * w {
+			m, b := min(a+w, n), min(a+2*w, n)
+			if m == b || !less(src[m], src[m-1]) {
+				copy(dst[a:b], src[a:b])
 			} else {
-				j = h
+				merge(dst[a:b], src[a:m], src[m:b], less)
 			}
 		}
-		for k := m; k > i; k-- {
-			xs[k], xs[k-1] = xs[k-1], xs[k]
-		}
-		return
+		src, dst = dst, src
 	}
-	mid := int(uint(a+b) >> 1)
-	n := mid + m
-	var start, r int
-	if m > mid {
-		start, r = n-b, mid
-	} else {
-		start, r = a, m
-	}
-	p := n - 1
-	for start < r {
-		c := int(uint(start+r) >> 1)
-		if !less(xs[p-c], xs[c]) {
-			start = c + 1
-		} else {
-			r = c
-		}
-	}
-	end := n - start
-	if start < m && m < end {
-		rotate(xs, start, m, end)
-	}
-	if a < start && start < mid {
-		symMerge(xs, a, start, mid, less)
-	}
-	if mid < end && end < b {
-		symMerge(xs, mid, end, b, less)
+	if &src[0] != &xs[0] {
+		copy(xs, src)
 	}
 }
 
-// rotate swaps the adjacent blocks xs[a:m] and xs[m:b] in place.
-func rotate[T any](xs []T, a, m, b int) {
-	i, j := m-a, b-m
-	for i != j {
-		if i > j {
-			swapRange(xs, m-i, m, j)
-			i -= j
-		} else {
-			swapRange(xs, m-i, m+j-i, i)
-			j -= i
+// insertionSort stable-sorts xs: each record is placed after every record
+// that does not sort after it, found by binary search, and the records it
+// passes shift up one cell.
+func insertionSort[T any](xs []T, less func(a, b T) bool) {
+	for i := 1; i < len(xs); i++ {
+		x := xs[i]
+		lo, hi := 0, i
+		for lo < hi {
+			h := int(uint(lo+hi) >> 1)
+			if less(x, xs[h]) {
+				hi = h
+			} else {
+				lo = h + 1
+			}
 		}
+		copy(xs[lo+1:i+1], xs[lo:i])
+		xs[lo] = x
 	}
-	swapRange(xs, m-i, m, i)
 }
 
-// swapRange swaps xs[a:a+n] with xs[b:b+n].
-func swapRange[T any](xs []T, a, b, n int) {
-	for i := 0; i < n; i++ {
-		xs[a+i], xs[b+i] = xs[b+i], xs[a+i]
+// merge merges the sorted runs l and r into dst (len(l)+len(r) cells),
+// stably: on ties the record of l goes first.
+func merge[T any](dst, l, r []T, less func(a, b T) bool) {
+	i, j, k := 0, 0, 0
+	for i < len(l) && j < len(r) {
+		if less(r[j], l[i]) {
+			dst[k] = r[j]
+			j++
+		} else {
+			dst[k] = l[i]
+			i++
+		}
+		k++
 	}
+	k += copy(dst[k:], l[i:])
+	copy(dst[k:], r[j:])
+}
+
+// rankSort stable-sorts xs by rank, whose values lie in [0, bound): a
+// counting sort in O(len(xs) + bound) time through buf (len(buf) ≥
+// len(xs)) and a count bank checked out of m's arena.
+func rankSort[T any](m *Mesh, xs, buf []T, rank func(T) int, bound int) {
+	next := Checkout[int32](m, bound+1)
+	clear(next)
+	for _, x := range xs {
+		next[rank(x)+1]++
+	}
+	for r := 1; r < bound; r++ {
+		next[r] += next[r-1]
+	}
+	for _, x := range xs {
+		r := rank(x)
+		buf[next[r]] = x
+		next[r]++
+	}
+	copy(xs, buf)
+	Release(m, next)
 }
 
 // runSort is the single execution point of every charged sort: it applies
 // fault injection (a lying comparator, a corrupted write-back cell) when an
 // injector is installed, and verifies the output against a reference stable
 // sort when audit mode is on. It performs no charging — callers keep their
-// own cost lines. With injection and audit off it is exactly sortStable:
-// two nil/bool checks, no allocation.
+// own cost lines. With injection and audit off it is exactly sortStable
+// over a merge buffer from the arena: no allocation at steady state.
 func runSort[T any](v View, op string, xs []T, less func(a, b T) bool) {
-	runSortEq(v, op, xs, less, nil)
+	runSortEq(v, op, xs, less, nil, nil, 0)
 }
 
-// runSortEq is runSort whose audit compares sorted records with eq instead
-// of reflect.DeepEqual, for banks whose records stand for values held
-// elsewhere (Concentrate's picks): a fault that leaves the values in place
-// is harmless and stays unreported, as it would on a bank of the values.
-func runSortEq[T any](v View, op string, xs []T, less func(a, b T) bool, eq func(a, b T) bool) {
+// runSortEq is runSort with two optional refinements of how the host runs
+// and audits the sort; neither changes what the machine does or is charged.
+//
+// eq, when set, replaces reflect.DeepEqual in the audit, for banks whose
+// records stand for values held elsewhere (Concentrate's picks): a fault
+// that leaves the values in place is harmless and stays unreported, as it
+// would on a bank of the values.
+//
+// rank, when set, maps every record to an integer in [0, bound) that orders
+// the bank as less does (less(a, b) exactly when rank(a) < rank(b)), such
+// as the origin processor of a sort-back. The honest sort then runs as a
+// stable counting sort, whose output is the permutation the stable
+// comparison sort gives. A lying comparator is defined by comparison index,
+// so a sort the injector makes lie runs the comparison sort with the lie;
+// the audit's reference is always the comparison sort, so it cross-checks
+// the counting sort on every audited run.
+func runSortEq[T any](v View, op string, xs []T, less func(a, b T) bool, eq func(a, b T) bool, rank func(T) int, bound int) {
 	m := v.m
 	var ref []T
 	if m.audit && len(xs) > 0 {
 		ref = append(ref, xs...)
 	}
-	if inj := m.inj; inj != nil {
-		if k := inj.SortLie(op, len(xs)); k > 0 {
-			var n int64
-			sortStable(xs, func(a, b T) bool {
-				n++
-				r := less(a, b)
-				if n >= k {
-					return !r
-				}
-				return r
-			})
-		} else {
-			sortStable(xs, less)
-		}
-		corruptSlice(v, op, xs)
-	} else {
-		sortStable(xs, less)
+	// A bank of at most sortBlock records is one insertion-sorted block:
+	// it needs no merge buffer, and counting it would cost more than
+	// comparing it.
+	var buf []T
+	if len(xs) > sortBlock {
+		buf = Checkout[T](m, len(xs))
 	}
+	var lie int64
+	if m.inj != nil {
+		lie = m.inj.SortLie(op, len(xs))
+	}
+	switch {
+	case lie > 0:
+		var n int64
+		sortStable(xs, buf, func(a, b T) bool {
+			n++
+			r := less(a, b)
+			if n >= lie {
+				return !r
+			}
+			return r
+		})
+	case rank != nil && buf != nil:
+		rankSort(m, xs, buf, rank, bound)
+	default:
+		sortStable(xs, buf, less)
+	}
+	corruptSlice(v, op, xs)
 	if ref != nil {
 		if eq == nil {
 			eq = func(a, b T) bool { return reflect.DeepEqual(a, b) }
 		}
-		sortStable(ref, less)
+		sortStable(ref, buf, less)
 		for i := range ref {
 			if !eq(xs[i], ref[i]) {
 				panic(&AuditError{
@@ -185,6 +177,7 @@ func runSortEq[T any](v View, op string, xs []T, less func(a, b T) bool, eq func
 			}
 		}
 	}
+	Release(m, buf)
 }
 
 // Sort sorts the view's record per processor into row-major order by less.
@@ -239,15 +232,16 @@ func (v View) doubleSortCost() int64 { return 2 * v.rowMajorSortCost() }
 // sortSlice stable-sorts a scratch slice holding up to perProc records per
 // processor and charges the corresponding multi-record sort cost. Compound
 // operations (RAR, RAW, Route) build on this single source of cost truth;
-// op names the operation for fault injection and audit reports.
-func sortSlice[T any](v View, op string, xs []T, perProc int, less func(a, b T) bool) {
+// op names the operation for fault injection and audit reports, and rank
+// and bound, when rank is set, are runSortEq's dense integer order.
+func sortSlice[T any](v View, op string, xs []T, perProc int, less func(a, b T) bool, rank func(T) int, bound int) {
 	if perProc < 1 {
 		perProc = 1
 	}
 	if len(xs) > perProc*v.Size() {
 		panic("mesh: sortSlice overflow")
 	}
-	runSort(v, op, xs, less)
+	runSortEq(v, op, xs, less, nil, rank, bound)
 	v.charge(OpSort, int64(perProc)*v.rowMajorSortCost())
 }
 

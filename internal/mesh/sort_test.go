@@ -234,27 +234,107 @@ func TestSortScratchPanicsOnOverflow(t *testing.T) {
 }
 
 // TestSortStableMatchesStdlib pins the in-package stable sort across the
-// insertion-block and SymMerge paths: the same order as the standard
-// library's stable sort on inputs full of equal keys, with exactly one less
-// call per comparison the standard library's scheme makes.
+// insertion-block and merge paths: the same order as the standard library's
+// stable sort on inputs full of equal keys, at most n·⌈log₂ n⌉ less calls,
+// and no allocation when the merge buffer is supplied.
 func TestSortStableMatchesStdlib(t *testing.T) {
 	type kv struct{ k, seq int }
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 19, 20, 21, 39, 40, 41, 100, 257, 1000} {
-		xs := make([]kv, n)
-		for i := range xs {
-			xs[i] = kv{rng.Intn(8), i}
-		}
-		want := append([]kv(nil), xs...)
-		cmps := 0
-		slices.SortStableFunc(want, func(a, b kv) int { cmps++; return a.k - b.k })
-		calls := 0
-		sortStable(xs, func(a, b kv) bool { calls++; return a.k < b.k })
-		if !slices.Equal(xs, want) {
-			t.Fatalf("n=%d: order differs from the standard library's stable sort", n)
-		}
-		if calls != cmps {
-			t.Fatalf("n=%d: %d less calls for %d comparisons", n, calls, cmps)
+	inputs := []struct {
+		name string
+		key  func(i, n int) int
+	}{
+		{"random", func(i, n int) int { return rng.Intn(8) }},
+		{"wide", func(i, n int) int { return rng.Intn(n/4 + 1) }},
+		{"sorted", func(i, n int) int { return i / 3 }},
+		{"reversed", func(i, n int) int { return n - i/3 }},
+	}
+	for _, in := range inputs {
+		name, key := in.name, in.key
+		for _, n := range []int{0, 1, 2, 15, 16, 17, 31, 32, 33, 100, 257, 1000, 4097, 10000} {
+			xs := make([]kv, n)
+			for i := range xs {
+				xs[i] = kv{key(i, n), i}
+			}
+			want := append([]kv(nil), xs...)
+			slices.SortStableFunc(want, func(a, b kv) int { return a.k - b.k })
+			calls := 0
+			sortStable(xs, make([]kv, n), func(a, b kv) bool { calls++; return a.k < b.k })
+			if !slices.Equal(xs, want) {
+				t.Fatalf("%s n=%d: order differs from the standard library's stable sort", name, n)
+			}
+			if bound := n * log2Ceil(n); calls > bound {
+				t.Fatalf("%s n=%d: %d less calls, want ≤ n·⌈log₂ n⌉ = %d", name, n, calls, bound)
+			}
 		}
 	}
+
+	src := make([]kv, 1000)
+	for i := range src {
+		src[i] = kv{rng.Intn(8), i}
+	}
+	xs, buf := make([]kv, len(src)), make([]kv, len(src))
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(xs, src)
+		sortStable(xs, buf, func(a, b kv) bool { return a.k < b.k })
+	})
+	if allocs != 0 {
+		t.Fatalf("sortStable with a supplied buffer allocates %.1f per call, want 0", allocs)
+	}
+}
+
+// rankedItem is a sort record with a dense integer rank and its collection
+// order, so a counting sort and a comparison sort can be compared exactly.
+type rankedItem struct {
+	rank int32
+	seq  int32
+}
+
+func byRank(a, b rankedItem) bool { return a.rank < b.rank }
+func rankOf(it rankedItem) int    { return int(it.rank) }
+func randomRanked(rng *rand.Rand, n, bound int) []rankedItem {
+	xs := make([]rankedItem, n)
+	for i := range xs {
+		xs[i] = rankedItem{int32(rng.Intn(bound)), int32(i)}
+	}
+	return xs
+}
+
+// TestRankSortMatchesComparisonSort pins the counting path of the sort
+// seam: on banks with many duplicate ranks (as a corrupted sort-back cell
+// produces), it yields exactly the permutation the stable comparison sort
+// yields.
+func TestRankSortMatchesComparisonSort(t *testing.T) {
+	m := New(8)
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{0, 1, 2, 17, 64, 128, 1000} {
+		for _, bound := range []int{1, 2, 7, 64, 2 * m.N()} {
+			xs := randomRanked(rng, n, bound)
+			want := append([]rankedItem(nil), xs...)
+			sortStable(want, make([]rankedItem, n), byRank)
+			rankSort(m, xs, make([]rankedItem, n), rankOf, bound)
+			if !slices.Equal(xs, want) {
+				t.Fatalf("n=%d bound=%d: counting sort differs from the comparison sort", n, bound)
+			}
+		}
+	}
+}
+
+// TestRankSortAuditCatchesInconsistentRank shows that audit mode checks the
+// counting path against the comparison sort: a rank that disagrees with
+// less sorts the bank wrongly, and the audit reports it.
+func TestRankSortAuditCatchesInconsistentRank(t *testing.T) {
+	m := New(8, WithAudit()) // 64 records: more than one sort block
+
+	v := m.Root()
+	xs := randomRanked(rand.New(rand.NewSource(3)), v.Size(), v.Size())
+	runSortEq(v, "RAR", append([]rankedItem(nil), xs...), byRank, nil, rankOf, v.Size())
+
+	defer func() {
+		if _, ok := recover().(*AuditError); !ok {
+			t.Fatal("an inconsistent rank passed the audit")
+		}
+	}()
+	reversed := func(it rankedItem) int { return v.Size() - 1 - int(it.rank) }
+	runSortEq(v, "RAR", xs, byRank, nil, reversed, v.Size())
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"sync"
 	"sync/atomic"
 )
 
@@ -20,12 +21,15 @@ func (id TraceID) IsZero() bool { return id == TraceID{} }
 func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
 
 // idState seeds ID generation once from crypto/rand, then derives IDs with
-// an atomic counter — unique without a syscall or lock per request.
+// an atomic counter — unique without a syscall or lock per request. The
+// first callers may race to mint an ID, so the seeding runs under idOnce:
+// two seedings would race on hi and could rewind lo.
 var idState struct {
-	hi    uint64
-	lo    atomic.Uint64
-	ready atomic.Bool
+	hi uint64
+	lo atomic.Uint64
 }
+
+var idOnce sync.Once
 
 func initIDState() {
 	var seed [16]byte
@@ -36,14 +40,11 @@ func initIDState() {
 	}
 	idState.hi = binary.BigEndian.Uint64(seed[:8])
 	idState.lo.Store(binary.BigEndian.Uint64(seed[8:]))
-	idState.ready.Store(true)
 }
 
 // NewTraceID mints a unique non-zero trace ID.
 func NewTraceID() TraceID {
-	if !idState.ready.Load() {
-		initIDState()
-	}
+	idOnce.Do(initIDState)
 	var id TraceID
 	binary.BigEndian.PutUint64(id[:8], idState.hi)
 	binary.BigEndian.PutUint64(id[8:], idState.lo.Add(1))
@@ -66,9 +67,7 @@ func (id TraceID) Traceparent() string {
 	buf = hex.AppendEncode(buf, id[:])
 	buf = append(buf, '-')
 	var parent [8]byte
-	if !idState.ready.Load() {
-		initIDState()
-	}
+	idOnce.Do(initIDState)
 	// Step by 2 and force the low bit: consecutive values stay distinct
 	// (n|1 == (n+1)|1 for even n) and never hit the forbidden all-zero id.
 	binary.BigEndian.PutUint64(parent[:], idState.lo.Add(2)|1)
