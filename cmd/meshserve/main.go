@@ -1,7 +1,9 @@
 // Command meshserve runs the batched multisearch query service (internal/
-// serve, DESIGN.md §3.5): a long-lived mesh holding a (2,3)-tree dictionary,
+// serve, DESIGN.md §3.5): long-lived meshes holding a (2,3)-tree dictionary,
 // answering concurrent membership lookups by collecting them into batches
-// and serving each batch with one multisearch round.
+// and serving each batch with one multisearch round. It always serves
+// through a fleet (internal/fleet): -replicas instances, one by default,
+// behind the router, failover ladder and HTTP surface.
 //
 // Serve mode (default) exposes the HTTP surface and drains gracefully on
 // SIGINT/SIGTERM:
@@ -10,34 +12,26 @@
 //	curl 'localhost:8845/search?key=7'
 //	curl  localhost:8845/metrics
 //
-// Load-generator mode drives the server in-process with closed-loop clients
-// and prints the throughput table of EXPERIMENTS.md §E20 — queries/round,
-// simulated steps/query, and wall-clock rounds/sec versus client count:
-//
-//	meshserve -loadgen -clients 1,4,16,64 -duration 2s -side 16
-//
-// Every load-generated answer is verified against the host-side dictionary
-// oracle; any mismatch fails the run. With -chaos N the serving mesh runs
-// under seeded fault injection (audit mode is forced on so faults trip the
-// recovery ladder of DESIGN.md §3.6 instead of corrupting answers); the
-// acceptance bar is zero mismatches and zero failed queries:
-//
-//	meshserve -loadgen -clients 8,32 -duration 1s -side 16 -chaos 42 -chaos-p 0.02
-//
-// Workload mode (-workload, DESIGN.md §3.7) is the open-loop counterpart:
+// Workload mode (-workload, DESIGN.md §3.7) is the load generator:
 // arrivals follow a seeded Poisson or ON/OFF-bursty process whose clock does
 // not wait for answers, so queueing delay and saturation become observable.
-// It reports per-window latency percentiles, offered vs achieved qps, and
-// degraded/rejected fractions; -trace-out records the arrival plan plus the
-// answer stream to JSONL, -workload replay -trace-in re-runs it and requires
-// the answers to reproduce exactly; -saturate binary-searches the max
-// sustainable rate under an SLO and prints the knee (EXPERIMENTS.md E22):
+// Every answer is verified against the host-side oracle; any mismatch or
+// failed query fails the run. With -chaos N the serving meshes run under
+// seeded fault injection (audit mode is forced on so faults trip the
+// recovery ladder of DESIGN.md §3.6 instead of corrupting answers). The
+// run reports per-window latency percentiles, offered vs achieved qps,
+// steps/query, and degraded/rejected fractions; -trace-out records the
+// arrival plan plus the answer stream to JSONL, -workload replay -trace-in
+// re-runs it and requires the answers to reproduce exactly; -saturate
+// binary-searches the max sustainable rate under an SLO and prints the knee
+// (EXPERIMENTS.md E22):
 //
+//	meshserve -workload poisson -rate 400 -side 16 -chaos 42 -chaos-p 0.02
 //	meshserve -workload poisson -rate 200x2s,800x500ms,200x2s -side 16 -trace-out run.jsonl
 //	meshserve -workload replay -trace-in run.jsonl -side 16
 //	meshserve -workload poisson -rate 256 -saturate -slo-p99 50ms -bench-out BENCH_PR6.json
 //
-// Fleet mode (-replicas N, DESIGN.md §3.8) runs N instances behind a
+// With -replicas N (DESIGN.md §3.8) the fleet runs N instances behind a
 // health-aware router (-policy round-robin | least-loaded | health-weighted).
 // A lookup whose replica faults or crashes fails over to a healthy replica
 // before the fleet-level oracle; -chaos-instance kills and restarts replicas
@@ -67,23 +61,20 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"math"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/fleet"
+	"repro/internal/loadgen"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -99,10 +90,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "max queries per round (0 = mesh size)")
 	queueDepth := flag.Int("queue", 0, "admission queue depth (0 = 4×max-batch)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-	loadgen := flag.Bool("loadgen", false, "run the in-process load generator instead of serving HTTP")
-	clients := flag.String("clients", "1,4,16,64", "comma-separated closed-loop client counts (loadgen)")
-	duration := flag.Duration("duration", 2*time.Second, "measurement window per client count (loadgen)")
-	seed := flag.Int64("seed", 1, "needle-stream seed (loadgen)")
+	seed := flag.Int64("seed", 1, "arrival-plan and key-draw seed (workload)")
 	audit := flag.Bool("audit", false, "run every round in audit mode (forced on by -chaos)")
 	chaos := flag.Int64("chaos", 0, "inject seeded faults with this seed (non-zero; see internal/faults)")
 	chaosP := flag.Float64("chaos-p", 0.01, "per-consultation fault probability for -chaos")
@@ -110,7 +98,7 @@ func main() {
 	retries := flag.Int("retries", 0, "audited re-executions per failed round (0 = default 3, negative = none)")
 	breakerWindow := flag.Int("breaker-window", 0, "circuit-breaker sliding window, in rounds (0 = default 16)")
 	canaryInterval := flag.Duration("canary-interval", 0, "how often an open circuit probes the mesh (0 = default 50ms, negative = never)")
-	queryDeadline := flag.Duration("query-deadline", 5*time.Second, "per-query deadline for loadgen lookups (0 = none)")
+	queryDeadline := flag.Duration("query-deadline", 5*time.Second, "per-query deadline for workload lookups (0 = 5s)")
 	obsOn := flag.Bool("obs", true, "request tracing + per-stage wall-clock metrics (internal/obs; /debug/traces, Prometheus /metrics?format=prometheus)")
 	obsRing := flag.Int("obs-ring", 256, "retained-trace ring size for /debug/traces (-obs)")
 	obsLog := flag.Bool("obs-log", false, "log interesting trace completions (slow/degraded/failover/error) to stderr (-obs)")
@@ -164,7 +152,7 @@ func main() {
 
 	// The kind mix configures both ends: the serve layer loads the mix's
 	// structures, the workload harness draws arrivals from its weights.
-	mix, err := parseKindsFlag(*kindsFlag)
+	mix, err := loadgen.ParseKindMix(*kindsFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
 		os.Exit(2)
@@ -177,7 +165,6 @@ func main() {
 		Budget:         int64(*budget),
 		MaxBatch:       *maxBatch,
 		QueueDepth:     *queueDepth,
-		Tracer:         trace.New(),
 		MaxRetries:     *retries,
 		BreakerWindow:  *breakerWindow,
 		CanaryInterval: *canaryInterval,
@@ -191,17 +178,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "meshserve: unknown cost model %q\n", *model)
 		os.Exit(2)
 	}
-	var injector *faults.Injector
 	var makeInjector func(i int) mesh.Injector
 	if *chaos != 0 {
 		p := *chaosP
-		injector = faults.New(faults.Config{
-			Seed: *chaos, PSortLie: p, PCorrupt: p, PDrop: p, PDup: p, Limit: *chaosLimit,
-		})
-		cfg.Injector = injector
-		// Fleet replicas must not share one injector (their fault streams
-		// would couple through its state): derive one per instance from the
-		// same seed, each with the full per-instance fault budget.
+		// Replicas must not share one injector (their fault streams would
+		// couple through its state): derive one per instance from the same
+		// seed — replica 0 gets the seed itself — each with the full
+		// per-instance fault budget.
 		makeInjector = func(i int) mesh.Injector {
 			return faults.New(faults.Config{
 				Seed: *chaos + int64(i)*1_000_003, PSortLie: p, PCorrupt: p, PDrop: p, PDup: p, Limit: *chaosLimit,
@@ -218,8 +201,8 @@ func main() {
 	}
 	cfg.Audit = *audit
 
-	// One observer serves the whole process — instance or fleet — so the SLO
-	// burn gauges measure the same targets the saturation search enforces.
+	// One observer serves the whole fleet, so the SLO burn gauges measure
+	// the same targets the saturation search enforces.
 	if *obsOn {
 		oc := obs.Config{Ring: *obsRing, SLOP99: *sloP99, SLOMaxDegraded: *sloDegraded}
 		// Under a kind mix the stage histograms split per kind (the class
@@ -234,16 +217,8 @@ func main() {
 		cfg.Obs = obs.New(oc)
 	}
 
-	if *loadgen && *workload != "" {
-		fmt.Fprintln(os.Stderr, "meshserve: -loadgen (closed-loop sweep) and -workload (open-loop harness) are mutually exclusive")
-		os.Exit(2)
-	}
 	if *replicas < 1 || *replicas > fleet.MaxReplicas {
 		fmt.Fprintf(os.Stderr, "meshserve: -replicas must be in [1, %d], got %d\n", fleet.MaxReplicas, *replicas)
-		os.Exit(2)
-	}
-	if *loadgen && *kindsFlag != "" {
-		fmt.Fprintln(os.Stderr, "meshserve: -loadgen is the membership-only closed-loop sweep; use -workload for kind mixes")
 		os.Exit(2)
 	}
 	if *policy == "all" {
@@ -281,10 +256,6 @@ func main() {
 	}
 	hedgeCfg := fleet.HedgeConfig{Enabled: *hedge, Delay: *hedgeDelay, P99Multiple: *hedgeP99x}
 	ejectCfg := fleet.EjectConfig{Enabled: *eject, Multiple: *ejectMultiple, ProbeInterval: *ejectProbe}
-	if *loadgen && *replicas > 1 {
-		fmt.Fprintln(os.Stderr, "meshserve: -loadgen drives one instance; use -workload for fleet runs")
-		os.Exit(2)
-	}
 	if *target != "" {
 		if *workload == "" {
 			fmt.Fprintln(os.Stderr, "meshserve: -target needs -workload (the HTTP driver is part of the open-loop harness)")
@@ -324,28 +295,9 @@ func main() {
 		}
 		return
 	}
-	if *loadgen {
-		counts, err := parseCounts(*clients)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
-			os.Exit(2)
-		}
-		if err := runLoadgen(cfg, counts, *duration, *seed, *queryDeadline, injector); err != nil {
-			fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *replicas > 1 {
-		fc := fleetConfig(cfg, *replicas, *policy, makeInjector, hedgeCfg, ejectCfg)
-		chaos := fleet.ChaosConfig{Seed: *chaosInstance, KillEvery: *chaosKillEvery, Downtime: *chaosDowntime}
-		if err := runServeFleet(fc, *addr, *drain, chaos); err != nil {
-			fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := runServe(cfg, *addr, *drain, injector); err != nil {
+	fc := fleetConfig(cfg, *replicas, *policy, makeInjector, hedgeCfg, ejectCfg)
+	monkey := fleet.ChaosConfig{Seed: *chaosInstance, KillEvery: *chaosKillEvery, Downtime: *chaosDowntime}
+	if err := runServeFleet(fc, *addr, *drain, monkey); err != nil {
 		fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
 		os.Exit(1)
 	}
@@ -374,8 +326,9 @@ func fleetConfig(cfg serve.Config, replicas int, policyName string, makeInjector
 	}
 }
 
-// runServeFleet is serve mode for -replicas > 1: the fleet HTTP surface
-// until SIGINT/SIGTERM, then a bounded parallel drain of every replica.
+// runServeFleet is serve mode: the fleet HTTP surface until SIGINT/SIGTERM,
+// then a bounded parallel drain that answers every admitted query on every
+// replica before exiting.
 func runServeFleet(fc fleet.Config, addr string, drain time.Duration, chaos fleet.ChaosConfig) error {
 	f, err := fleet.New(fc)
 	if err != nil {
@@ -416,12 +369,21 @@ func runServeFleet(fc fleet.Config, addr string, drain time.Duration, chaos flee
 	return nil
 }
 
-// printFleetStats reports the routing/failover/chaos counters of a fleet run.
+// printFleetStats reports the routing/failover/chaos counters of a fleet
+// run, and the recovery ladder's work (DESIGN.md §3.6) when any of it ran.
 func printFleetStats(st fleet.Stats) {
+	agg := st.Agg
 	fmt.Fprintf(os.Stderr,
-		"meshserve: fleet served %d dispatches (%d failover-served, %d oracle, %d overloaded, %d unrouted), agg %d queries in %d rounds, health %s\n",
+		"meshserve: fleet served %d dispatches (%d failover-served, %d oracle, %d overloaded, %d unrouted), agg %d queries in %d rounds, %d simulated steps, health %s\n",
 		st.Dispatched, st.FailoverServed, st.OracleServed, st.OverloadedAll, st.Unrouted,
-		st.Agg.Served, st.Agg.Rounds, st.Health)
+		agg.Served, agg.Rounds, agg.SimSteps, st.Health)
+	faults := agg.FaultsAudit + agg.FaultsBudget + agg.FaultsCanceled + agg.FaultsPanic + agg.FaultsOther
+	if faults+agg.Retries+agg.CircuitOpens+agg.CanaryRounds > 0 {
+		fmt.Fprintf(os.Stderr,
+			"meshserve: recovery — %d faulted round attempts, %d retries, %d rounds recovered, circuit %d opens/%d closes, canaries %d (%d failed)\n",
+			faults, agg.Retries, agg.Recovered,
+			agg.CircuitOpens, agg.CircuitCloses, agg.CanaryRounds, agg.CanaryFails)
+	}
 	if st.Crashes > 0 || st.Restarts > 0 {
 		fmt.Fprintf(os.Stderr,
 			"meshserve: chaos — %d crashes, %d restarts, time-to-healthy last %s / max %s\n",
@@ -436,187 +398,6 @@ func printFleetStats(st fleet.Stats) {
 	}
 }
 
-// runServe is serve mode: HTTP until SIGINT/SIGTERM, then a bounded drain
-// that answers every admitted query before exiting.
-func runServe(cfg serve.Config, addr string, drain time.Duration, injector *faults.Injector) error {
-	s, err := serve.New(cfg)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Addr: addr, Handler: s.Handler()}
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "meshserve: %dx%d mesh, %d keys, kinds %s, serving on %s (/search /healthz /metrics; SIGINT drains)\n",
-		cfg.Side, cfg.Side, len(s.Tree().Keys), kindNamesOf(s.Kinds()), addr)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case <-ctx.Done():
-	case err := <-httpErr:
-		return fmt.Errorf("http server: %w", err)
-	}
-	stop()
-
-	fmt.Fprintf(os.Stderr, "meshserve: draining (deadline %s)\n", drain)
-	dctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	drainErr := s.Shutdown(dctx)
-	_ = httpSrv.Close()
-	st := s.Stats()
-	fmt.Fprintf(os.Stderr, "meshserve: served %d queries in %d rounds (%d rejected, %d failed), %d simulated steps\n",
-		st.Served, st.Rounds, st.Rejected, st.Failed, st.SimSteps)
-	printRecovery(st, injector)
-	if drainErr != nil {
-		return fmt.Errorf("drain incomplete: %w", drainErr)
-	}
-	return nil
-}
-
-// printRecovery reports the recovery ladder's work (DESIGN.md §3.6) when any
-// of it ran: silent on a fault-free, fully-healthy run.
-func printRecovery(st serve.Stats, injector *faults.Injector) {
-	if st.Retries+st.Recovered+st.Degraded+st.CircuitOpens+st.CanaryRounds == 0 && injector == nil {
-		return
-	}
-	fmt.Fprintf(os.Stderr,
-		"meshserve: recovery — %d retries, %d rounds recovered, %d degraded answers in %d rounds, circuit %d opens/%d closes, canaries %d (%d failed), health %s\n",
-		st.Retries, st.Recovered, st.Degraded, st.DegradedRounds,
-		st.CircuitOpens, st.CircuitCloses, st.CanaryRounds, st.CanaryFails, st.Health)
-	if injector != nil {
-		fmt.Fprintf(os.Stderr, "meshserve: chaos injected %d fault(s)\n", injector.Count())
-	}
-}
-
-// runLoadgen sweeps closed-loop client counts against one long-lived server
-// and prints one throughput row per count from the stats deltas. Overloaded
-// lookups retry under the shared jittered backoff (not a fixed sleep), each
-// query carries its own deadline, and every answer — mesh-served or
-// degraded — is checked against the host oracle.
-func runLoadgen(cfg serve.Config, counts []int, dur time.Duration, seed int64, deadline time.Duration, injector *faults.Injector) error {
-	s, err := serve.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	}()
-	keys := int64(len(s.Tree().Keys))
-	fmt.Printf("meshserve loadgen: %dx%d mesh (%s model), %d keys, max batch %d, linger %s, window %s/point\n",
-		cfg.Side, cfg.Side, cfg.Model, keys, s.MaxBatch(), cfg.Linger, dur)
-	if injector != nil {
-		fmt.Printf("chaos: audit %v, acceptance = zero oracle mismatches, zero failed queries\n", cfg.Audit)
-	}
-	fmt.Printf("%8s %12s %10s %10s %14s %10s %10s\n",
-		"clients", "queries/s", "rounds/s", "q/round", "steps/query", "rejected", "degraded")
-
-	backoff := serve.Backoff{Base: cfg.RetryBackoff}
-	for _, nc := range counts {
-		before := s.Stats()
-		start := time.Now()
-		ctx, cancel := context.WithTimeout(context.Background(), dur)
-		var wg sync.WaitGroup
-		// First mismatch or hard error aborts the whole window: a client
-		// goroutine that silently returned used to shrink the offered
-		// concurrency for the rest of the window, quietly corrupting the
-		// throughput row it was about to print. fail() records the first
-		// cause and cancels every client; the row is only printed if the
-		// acceptance bar passed.
-		var failOnce sync.Once
-		var failErr error
-		fail := func(err error) {
-			failOnce.Do(func() { failErr = err })
-			cancel()
-		}
-		for c := 0; c < nc; c++ {
-			c := c
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed + int64(c)*7919))
-				overloads := 0
-				for ctx.Err() == nil {
-					needle := rng.Int63n(2 * keys) // ~half hits, half misses
-					res, err := lookupWithDeadline(ctx, s, needle, deadline)
-					switch {
-					case errors.Is(err, serve.ErrOverloaded):
-						if !backoff.Sleep(ctx, overloads) {
-							return
-						}
-						overloads++
-					case errors.Is(err, context.Canceled):
-						return
-					case errors.Is(err, context.DeadlineExceeded):
-						if ctx.Err() != nil {
-							return // measurement window closed, not a lost query
-						}
-						fail(fmt.Errorf("lookup of %d exceeded its %s deadline", needle, deadline))
-						return
-					case errors.Is(err, serve.ErrBudgetExhausted):
-						// The measurement-window context doubles as each
-						// query's outer deadline, so as the window closes the
-						// budget rung rightly sheds queries that cannot finish
-						// in time — end of stream, not a lost query. Only a
-						// shed against the per-query deadline itself counts
-						// as a failure.
-						if wd, ok := ctx.Deadline(); ok && (deadline <= 0 || time.Until(wd) < deadline) {
-							return
-						}
-						fail(fmt.Errorf("lookup of %d shed mid-window: %w", needle, err))
-						return
-					case err != nil:
-						fail(fmt.Errorf("lookup of %d failed: %w", needle, err))
-						return
-					case res.Found != s.Tree().Contains(needle),
-						res.Found && res.LeafKey != needle:
-						fail(fmt.Errorf("answer for %d disagrees with the host oracle (found=%v leaf=%d)",
-							needle, res.Found, res.LeafKey))
-						return
-					default:
-						overloads = 0
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		cancel()
-		if failErr != nil {
-			return fmt.Errorf("at %d clients: %w", nc, failErr)
-		}
-		wall := time.Since(start).Seconds()
-		d := s.Stats()
-		served := d.Served - before.Served
-		rounds := d.Rounds - before.Rounds
-		steps := d.SimSteps - before.SimSteps
-		rejected := d.Rejected - before.Rejected
-		degraded := d.Degraded - before.Degraded
-		qPerRound, stepsPerQuery := 0.0, 0.0
-		if rounds > 0 {
-			qPerRound = float64(served) / float64(rounds)
-		}
-		if served > 0 {
-			stepsPerQuery = float64(steps) / float64(served)
-		}
-		fmt.Printf("%8d %12.0f %10.1f %10.1f %14.0f %10d %10d\n",
-			nc, float64(served)/wall, float64(rounds)/wall, qPerRound, stepsPerQuery, rejected, degraded)
-	}
-	printRecovery(s.Stats(), injector)
-	return nil
-}
-
-// lookupWithDeadline bounds one lookup by the per-query deadline (0 = none)
-// on top of the sweep context.
-func lookupWithDeadline(ctx context.Context, s *serve.Server, needle int64, deadline time.Duration) (serve.Result, error) {
-	if deadline <= 0 {
-		return s.Lookup(ctx, needle)
-	}
-	qctx, cancel := context.WithTimeout(ctx, deadline)
-	defer cancel()
-	return s.Lookup(qctx, needle)
-}
-
 // kindNamesOf renders a served-kind list for banners.
 func kindNamesOf(kinds []serve.Kind) string {
 	names := make([]string, len(kinds))
@@ -624,19 +405,4 @@ func kindNamesOf(kinds []serve.Kind) string {
 		names[i] = k.String()
 	}
 	return strings.Join(names, ",")
-}
-
-func parseCounts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -clients entry %q", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, errors.New("-clients is empty")
-	}
-	return out, nil
 }

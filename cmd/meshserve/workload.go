@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/fleet"
@@ -70,65 +72,32 @@ type workloadFlags struct {
 	ejectCfg          fleet.EjectConfig
 }
 
-// wlTarget is what the harness drives: a single in-process instance, an
-// in-process fleet, or a remote meshserve over HTTP. The harness itself is
-// target-agnostic — arrival plans, SLO accounting, record/replay and the
-// saturation search all run against this seam.
+// wlTarget is what the harness drives: an in-process fleet or a remote
+// meshserve over HTTP. The harness itself is target-agnostic — arrival
+// plans, SLO accounting, record/replay and the saturation search all run
+// against this seam.
 type wlTarget struct {
-	desc     string
-	side     int
-	keys     int
-	server   *serve.Server // single in-process instance (nil otherwise)
-	fleet    *fleet.Fleet  // in-process fleet (nil otherwise)
-	lookup   func(ctx context.Context, needle int64) (serve.Result, error)
-	stats    func() serve.Stats
-	stages   func() obs.StageSnapshot // nil when the target has no observer
-	contains func(int64) bool
-	close    func()
+	desc   string
+	side   int
+	keys   int
+	fleet  *fleet.Fleet // in-process fleet (nil for a remote target)
+	stats  func() serve.Stats
+	stages func() obs.StageSnapshot // nil when the target has no observer
+	close  func()
 
 	// Kind-typed seams: dispatch, the needle→typed-arguments mapping the
-	// generator uses, and the per-kind host-oracle answer check. lookupKind
-	// is nil for a single in-process instance (the runner then calls
-	// Server.LookupKind directly).
+	// generator uses, and the per-kind host-oracle answer check.
 	lookupKind func(ctx context.Context, kind serve.Kind, args serve.Args) (serve.Result, error)
 	argsFor    func(serve.Kind, int64) serve.Args
 	check      func(serve.Kind, serve.Args, serve.Result) bool
 }
 
-// newTarget builds the workload target from the flag set. forceFleet makes
-// a 1-replica run go through the fleet path anyway (the sweep compares
-// fleet sizes, so even its n=1 point must pay the router).
-func newTarget(cfg serve.Config, f workloadFlags, replicas int, policyName string, forceFleet bool) (*wlTarget, error) {
+// newTarget builds the workload target from the flag set.
+func newTarget(cfg serve.Config, f workloadFlags, replicas int, policyName string) (*wlTarget, error) {
 	if f.target != "" {
 		return newRemoteTarget(f)
 	}
-	if replicas > 1 || forceFleet {
-		return newFleetTarget(cfg, f, replicas, policyName)
-	}
-	s, err := serve.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ss := s.Structures()
-	t := &wlTarget{
-		desc: fmt.Sprintf("%dx%d mesh (%s model), %d keys, kinds %s",
-			cfg.Side, cfg.Side, cfg.Model, len(s.Tree().Keys), kindNamesOf(s.Kinds())),
-		side:     cfg.Side,
-		keys:     len(s.Tree().Keys),
-		server:   s,
-		contains: s.Tree().Contains,
-		argsFor:  loadgen.StructureArgs(ss),
-		check:    loadgen.StructureChecker(ss),
-		close: func() {
-			ctx, cancel := context30s()
-			defer cancel()
-			_ = s.Shutdown(ctx)
-		},
-	}
-	if o := s.Observer(); o != nil {
-		t.stages = o.Stages
-	}
-	return t, nil
+	return newFleetTarget(cfg, f, replicas, policyName)
 }
 
 // newFleetTarget builds an in-process fleet target, arming the instance
@@ -152,18 +121,13 @@ func newFleetTarget(cfg serve.Config, f workloadFlags, replicas int, policyName 
 		side:  cfg.Side,
 		keys:  len(fl.Tree().Keys),
 		fleet: fl,
-		lookup: func(ctx context.Context, needle int64) (serve.Result, error) {
-			res, err := fl.Lookup(ctx, needle)
-			return res.Result, err
-		},
 		lookupKind: func(ctx context.Context, kind serve.Kind, args serve.Args) (serve.Result, error) {
 			res, err := fl.LookupKind(ctx, kind, args)
 			return res.Result, err
 		},
-		stats:    func() serve.Stats { return fl.Stats().Agg },
-		contains: fl.Tree().Contains,
-		argsFor:  loadgen.StructureArgs(fl.Structures()),
-		check:    loadgen.StructureChecker(fl.Structures()),
+		stats:   func() serve.Stats { return fl.Stats().Agg },
+		argsFor: loadgen.StructureArgs(fl.Structures()),
+		check:   loadgen.StructureChecker(fl.Structures()),
 		close: func() {
 			stopChaos()
 			ctx, cancel := context30s()
@@ -205,15 +169,11 @@ func newRemoteTarget(f workloadFlags) (*wlTarget, error) {
 		desc:       fmt.Sprintf("remote %s (%dx%d mesh, %d keys)", t.Base, side, side, keys),
 		side:       side,
 		keys:       keys,
-		lookup:     t.Lookup,
 		lookupKind: t.LookupKind,
 		stats:      t.Stats,
-		contains: func(needle int64) bool {
-			return needle >= 1 && needle < int64(2*keys) && needle%2 == 1
-		},
-		argsFor: loadgen.StructureArgs(ss),
-		check:   loadgen.StructureChecker(ss),
-		close:   func() {},
+		argsFor:    loadgen.StructureArgs(ss),
+		check:      loadgen.StructureChecker(ss),
+		close:      func() {},
 	}, nil
 }
 
@@ -235,17 +195,9 @@ func (f workloadFlags) kindMix() *loadgen.KindMix {
 	return f.mix
 }
 
-// parseKindsFlag parses -kinds. (It lives here rather than in main.go so the
-// loadgen package name does not collide with main's -loadgen flag variable.)
-func parseKindsFlag(spec string) (*loadgen.KindMix, error) {
-	return loadgen.ParseKindMix(spec)
-}
-
 // runConfig assembles the loadgen run config for this target.
 func (t *wlTarget) runConfig(events []loadgen.TraceEvent, f workloadFlags) loadgen.Config {
 	return loadgen.Config{
-		Server:      t.server,
-		Lookup:      t.lookup,
 		LookupKind:  t.lookupKind,
 		Stats:       t.stats,
 		Stages:      t.stages,
@@ -253,16 +205,15 @@ func (t *wlTarget) runConfig(events []loadgen.TraceEvent, f workloadFlags) loadg
 		Window:      f.window,
 		Deadline:    f.deadline,
 		MaxInFlight: f.maxInFl,
-		Contains:    t.contains,
 		Check:       t.check,
 	}
 }
 
-// runWorkload is the open-loop serving-mode counterpart of runLoadgen: it
-// drives the target — instance, fleet, or remote server — with an arrival
-// process that does not wait for answers, reports per-window SLO metrics,
-// and (optionally) binary-searches the saturation knee. Exit is non-zero on
-// any oracle mismatch, failed query, or replay divergence.
+// runWorkload drives the target — an in-process fleet or a remote server —
+// with an arrival process that does not wait for answers, reports
+// per-window SLO metrics, and (optionally) binary-searches the saturation
+// knee. Exit is non-zero on any oracle mismatch, failed query, or replay
+// divergence.
 func runWorkload(cfg serve.Config, f workloadFlags) error {
 	if f.sweepReplicas != "" {
 		return runSweep(cfg, f)
@@ -270,7 +221,7 @@ func runWorkload(cfg serve.Config, f workloadFlags) error {
 	if f.outageCompare {
 		return runOutageCompare(cfg, f)
 	}
-	t, err := newTarget(cfg, f, f.replicas, f.policy, false)
+	t, err := newTarget(cfg, f, f.replicas, f.policy)
 	if err != nil {
 		return err
 	}
@@ -476,13 +427,12 @@ type sweepEntry struct {
 }
 
 // runSweep is the capacity-planning mode (-sweep-replicas): one saturation
-// search per (policy, fleet size) point, each against a fresh fleet — the
-// n=1 point also goes through the router, so the sweep isolates replication
-// gain from router overhead. -policy all sweeps every routing policy.
+// search per (policy, fleet size) point, each against a fresh fleet.
+// -policy all sweeps every routing policy.
 func runSweep(cfg serve.Config, f workloadFlags) error {
-	counts, err := parseCounts(f.sweepReplicas)
+	counts, err := parseReplicaCounts(f.sweepReplicas)
 	if err != nil {
-		return fmt.Errorf("-sweep-replicas: %w", err)
+		return err
 	}
 	policies := []string{f.policy}
 	if f.policy == "all" {
@@ -493,7 +443,7 @@ func runSweep(cfg serve.Config, f workloadFlags) error {
 	var entries []sweepEntry
 	for _, pol := range policies {
 		for _, n := range counts {
-			t, err := newTarget(cfg, f, n, pol, true)
+			t, err := newTarget(cfg, f, n, pol)
 			if err != nil {
 				return err
 			}
@@ -684,4 +634,17 @@ func writeBench(path string, cfg serve.Config, f workloadFlags, t *wlTarget, rep
 		fmt.Printf("wrote %s\n", path)
 	}
 	return werr
+}
+
+// parseReplicaCounts parses -sweep-replicas: comma-separated fleet sizes.
+func parseReplicaCounts(spec string) ([]int, error) {
+	var out []int
+	for _, field := range strings.Split(spec, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(field))
+		if err != nil || n < 1 || n > fleet.MaxReplicas {
+			return nil, fmt.Errorf("-sweep-replicas: bad fleet size %q (want 1..%d)", field, fleet.MaxReplicas)
+		}
+		out = append(out, n)
+	}
+	return out, nil
 }

@@ -131,7 +131,7 @@ type replica struct {
 	ewmaNS     atomic.Int64
 	latSamples atomic.Int64
 	ejected    atomic.Bool
-	lat        serve.Histogram
+	lat        obs.Histogram
 }
 
 // Fleet is N serve instances behind a router. Safe for concurrent use.
@@ -169,14 +169,14 @@ type Fleet struct {
 	probeOnce   sync.Once
 	lastTTH     atomic.Int64 // ns, most recent crash → healthy
 	maxTTH      atomic.Int64 // ns, worst observed
-	lat         serve.Histogram
-	latFailover serve.Histogram // answered by a non-first pick
-	latOracle   serve.Histogram // answered by the fleet oracle rung
+	lat         obs.Histogram
+	latFailover obs.Histogram // answered by a non-first pick
+	latOracle   obs.Histogram // answered by the fleet oracle rung
 	obs         *obs.Observer
 
 	kindServed [serve.NumKinds]atomic.Int64 // answered lookups per query kind
 	kindOracle [serve.NumKinds]atomic.Int64 // fleet-oracle answers per query kind
-	kindLat    [serve.NumKinds]serve.Histogram
+	kindLat    [serve.NumKinds]obs.Histogram
 }
 
 // New builds Replicas instances from the template and starts routing.
@@ -694,9 +694,22 @@ func addStats(mu *sync.RWMutex, dst *serve.Stats, src serve.Stats) {
 	sumStats(dst, src)
 }
 
-// sumStats adds src's counters into dst (latency summaries do not sum;
-// fleet-level latency comes from the fleet's own histogram).
+// sumStats adds src's counters into dst, per kind too (latency summaries
+// do not sum; fleet-level latency comes from the fleet's own histograms).
+// Replicas share one template, so their per-kind rows align by index. The
+// per-kind rows are rebuilt rather than added in place: dst may be a copy
+// of a replica's lost stats, whose rows must not change under it.
 func sumStats(dst *serve.Stats, src serve.Stats) {
+	kinds := make([]serve.KindStats, max(len(dst.Kinds), len(src.Kinds)))
+	copy(kinds, dst.Kinds)
+	for i, ks := range src.Kinds {
+		kinds[i].Kind = ks.Kind
+		kinds[i].Served += ks.Served
+		kinds[i].Degraded += ks.Degraded
+		kinds[i].Rounds += ks.Rounds
+		kinds[i].SimSteps += ks.SimSteps
+	}
+	dst.Kinds = kinds
 	dst.Accepted += src.Accepted
 	dst.Rejected += src.Rejected
 	dst.Served += src.Served
@@ -742,7 +755,9 @@ type ReplicaStats struct {
 // Stats is a point-in-time snapshot of the fleet. Agg sums every
 // incarnation of every replica (crashed instances included); its Degraded
 // count covers instance-level oracle answers only — fleet-oracle answers
-// are OracleServed, and both flag Result.Degraded to clients.
+// are OracleServed, and both flag Result.Degraded to clients. Agg.Kinds
+// sums the per-kind counters but carries no per-kind latency; the fleet's
+// per-kind latency is ByKind.
 type Stats struct {
 	Replicas         int    `json:"replicas"`
 	HealthyReplicas  int    `json:"healthy_replicas"`
@@ -781,12 +796,12 @@ type Stats struct {
 	LastTimeToHealthy time.Duration `json:"last_time_to_healthy_ns"`
 	MaxTimeToHealthy  time.Duration `json:"max_time_to_healthy_ns"`
 
-	Latency serve.LatencySummary `json:"latency"` // fleet dispatch → answer
+	Latency obs.LatencySummary `json:"latency"` // fleet dispatch → answer
 	// LatencyFailover / LatencyOracle split the dispatch latency by how the
 	// answer was produced (non-first-pick replica vs fleet oracle rung), so
 	// the fleet p99 can be attributed; Latency stays as the combined view.
-	LatencyFailover serve.LatencySummary `json:"latency_failover"`
-	LatencyOracle   serve.LatencySummary `json:"latency_oracle"`
+	LatencyFailover obs.LatencySummary `json:"latency_failover"`
+	LatencyOracle   obs.LatencySummary `json:"latency_oracle"`
 
 	Agg        serve.Stats    `json:"agg"`
 	PerReplica []ReplicaStats `json:"per_replica"`
@@ -797,10 +812,10 @@ type Stats struct {
 // answered lookups of that kind (any rung), how many fell through to the
 // fleet oracle, and the kind's dispatch-to-answer latency.
 type KindRouting struct {
-	Kind         string               `json:"kind"`
-	Served       int64                `json:"served"`
-	OracleServed int64                `json:"oracle_served"`
-	Latency      serve.LatencySummary `json:"latency"`
+	Kind         string             `json:"kind"`
+	Served       int64              `json:"served"`
+	OracleServed int64              `json:"oracle_served"`
+	Latency      obs.LatencySummary `json:"latency"`
 }
 
 // Stats snapshots the fleet: routing and failover counters, per-replica

@@ -11,29 +11,36 @@ import (
 	"repro/internal/serve"
 )
 
-// Handler returns the fleet's HTTP surface — the same contract as one
-// instance's (serve.Instance.Handler), aggregated:
+// Handler returns meshserve's HTTP surface, the only one in the stack
+// (a single instance is served as a fleet of one):
 //
 //	GET /search?key=K — one lookup through the router and failover ladder;
-//	                    the JSON answer carries the serving replica index
-//	                    (-1 for a fleet-oracle answer). 429 only when every
-//	                    routable replica rejected with overload, 503 after
-//	                    Shutdown; the Retry-After on both is the *least-
-//	                    loaded healthy* replica's estimate — the soonest the
-//	                    fleet could accept work — not whichever instance
-//	                    happened to reject.
+//	                    ?kind= selects the query family, each with its own
+//	                    integer parameters (serve.SearchParams). The JSON
+//	                    answer carries the serving replica index (-1 for a
+//	                    fleet-oracle answer). 400 for an unknown kind,
+//	                    missing/malformed parameters, or a kind the fleet
+//	                    does not serve; 429 only when every routable replica
+//	                    rejected with overload, 503 after Shutdown — the
+//	                    Retry-After on both is the *least-loaded healthy*
+//	                    replica's estimate, the soonest the fleet could
+//	                    accept work; 504 when the X-Deadline-Budget ran out
+//	                    before any replica could answer (§3.11); 499/408
+//	                    when the client's own context fired; 500 for a
+//	                    failed lookup (only reachable with DisableOracle).
 //	GET /healthz      — 200 while at least one replica is healthy and not
 //	                    latency-ejected; 503 only when none is (all
 //	                    degraded/crashed/ejected) or the fleet is draining.
 //	                    A single replica loss is the fleet working as
-//	                    designed, not an incident. 504 on /search means the
-//	                    X-Deadline-Budget ran out before any replica could
-//	                    answer (§3.11).
+//	                    designed, not an incident.
 //	GET /metrics      — fleet stats (routing, failover, crash/restart,
-//	                    time-to-healthy), per-replica state, and the summed
-//	                    per-instance serving counters under "serve" so
-//	                    instance-shaped scrapers (loadgen.HTTPTarget) work
-//	                    unchanged against a fleet.
+//	                    time-to-healthy), per-replica state, the summed
+//	                    per-instance serving counters under "serve", and the
+//	                    mesh-path gauges derived from them.
+//	                    ?format=prometheus switches to the Prometheus text
+//	                    exposition.
+//	GET /debug/traces — retained wall-clock request traces (requires
+//	                    Config.Obs; see obs.Observer.DebugHandler).
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/search", f.handleSearch)
@@ -49,9 +56,10 @@ func (f *Fleet) Handler() http.Handler {
 	return mux
 }
 
-// traceCtx mirrors the instance handler's traceparent adoption: the fleet
-// trace takes the wire ID (minting one when absent/malformed) and the
-// response echoes it so a loadgen client can correlate its samples with
+// traceCtx threads an incoming W3C traceparent into the lookup context —
+// minting a fresh trace ID when the request carries none, or a malformed
+// one, which the spec says to ignore — so the fleet trace adopts the wire
+// ID and the response echoes it for client-side correlation with
 // /debug/traces records.
 func (f *Fleet) traceCtx(w http.ResponseWriter, r *http.Request) context.Context {
 	ctx := r.Context()
@@ -99,7 +107,8 @@ func (f *Fleet) handleSearch(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, serve.ErrBudgetExhausted):
 		// Deadline budget below every replica's expected round time: the
 		// fleet shed the work rather than answer past the deadline. 504 —
-		// the server-side deadline verdict — mirrors the instance handler.
+		// the server gave up on the client's behalf — rather than a 5xx
+		// that reads as a server fault.
 		http.Error(w, err.Error(), http.StatusGatewayTimeout)
 		return
 	case r.Context().Err() == nil && errors.Is(err, context.DeadlineExceeded):
@@ -108,8 +117,10 @@ func (f *Fleet) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusGatewayTimeout)
 		return
 	case r.Context().Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-		// Same client-versus-server split as the instance handler: the
-		// request's own context firing is a client outcome, 4xx class.
+		// The *request's* context fired: the client disconnected (Canceled)
+		// or its per-request deadline lapsed (DeadlineExceeded). That is a
+		// client-side outcome, not a server error — 4xx class, so
+		// disconnect storms don't read as a 500 spike.
 		status := serve.StatusClientClosedRequest
 		if errors.Is(err, context.DeadlineExceeded) {
 			status = http.StatusRequestTimeout
@@ -148,14 +159,18 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	// The Prometheus text exposition lives beside the JSON document, not in
+	// place of it: loadgen.HTTPTarget and perfbench scrape the JSON shape,
+	// Prometheus scrapers ask for ?format=prometheus.
 	if r.URL.Query().Get("format") == "prometheus" {
 		f.promMetrics(w)
 		return
 	}
 	st := f.Stats()
+	agg := st.Agg
 	doc := map[string]any{
 		"fleet":     st,
-		"serve":     st.Agg, // instance-shaped aggregate for shared scrapers
+		"serve":     agg, // instance-shaped aggregate for shared scrapers
 		"health":    st.Health,
 		"side":      f.Side(),
 		"keys":      len(f.bt.Keys),
@@ -166,15 +181,35 @@ func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		doc["failover_fraction"] = float64(st.FailoverServed) / float64(st.Dispatched)
 		doc["oracle_fraction"] = float64(st.OracleServed) / float64(st.Dispatched)
 	}
+	// Per-round gauges describe the mesh path only. Replicas run without an
+	// oracle rung of their own, so every answer they served rode a mesh
+	// round; fleet-oracle answers consume no round and show up in
+	// degraded_fraction instead of deflating sim_steps_per_round. Counters
+	// loaded at slightly different instants can transiently go negative
+	// under a concurrent snapshot, so in_flight is clamped.
+	if agg.Rounds > 0 {
+		doc["queries_per_round"] = float64(agg.Served+agg.Failed) / float64(agg.Rounds)
+		doc["sim_steps_per_round"] = float64(agg.SimSteps) / float64(agg.Rounds)
+	}
+	if answered := st.FirstPickServed + st.FailoverServed + st.OracleServed; answered > 0 {
+		doc["degraded_fraction"] = float64(st.OracleServed) / float64(answered)
+	}
+	doc["in_flight"] = max(agg.Accepted-agg.Served-agg.Failed, 0)
+	if agg.Recovered > 0 {
+		doc["recovered_rounds"] = agg.Recovered
+	}
 	writeJSON(w, doc)
 }
 
-// promMetrics renders the fleet's Prometheus text exposition: routing and
-// failover counters, per-replica gauges, outcome-split dispatch latency, the
-// bucket-exact merge of every live replica's serving histograms, and (with
-// Config.Obs) the shared per-stage decomposition and SLO burn gauges.
+// promMetrics renders the Prometheus text exposition: routing and failover
+// counters, per-replica gauges and outcome-split dispatch latency under
+// meshfleet_; the summed serving counters, breaker and queue gauges, and the
+// bucket-exact merge of every live replica's serving histograms under
+// meshserve_; and (with Config.Obs) the per-stage decomposition and SLO
+// burn gauges, also under meshserve_.
 func (f *Fleet) promMetrics(w http.ResponseWriter) {
 	st := f.Stats()
+	views := f.views()
 	pw := obs.NewPromWriter()
 
 	pw.Counter("meshfleet_dispatched_total", "Lookups dispatched through the router.", float64(st.Dispatched))
@@ -196,7 +231,7 @@ func (f *Fleet) promMetrics(w http.ResponseWriter) {
 
 	pw.Gauge("meshfleet_replicas", "Configured replica count.", float64(st.Replicas))
 	pw.Gauge("meshfleet_last_time_to_healthy_seconds", "Most recent crash-to-healthy duration.", float64(st.LastTimeToHealthy)/1e9)
-	for _, rv := range f.views() {
+	for _, rv := range views {
 		idx := strconv.Itoa(rv.Index)
 		pw.Gauge("meshfleet_replica_up", "1 while the replica is routable.", boolGauge(rv.Up), "replica", idx)
 		health := "down"
@@ -230,29 +265,94 @@ func (f *Fleet) promMetrics(w http.ResponseWriter) {
 	pw.Histogram("meshfleet_request_duration_seconds", "Dispatch-to-answer latency.", f.latFailover.Snapshot(), "rung", "failover")
 	pw.Histogram("meshfleet_request_duration_seconds", "Dispatch-to-answer latency.", f.latOracle.Snapshot(), "rung", "oracle")
 
-	// Replica-level serving latency, merged bucket-exact across live
-	// replicas (fixed boundaries sum losslessly), split by outcome.
+	f.promServe(pw, st.Agg, views)
+
+	if f.obs != nil {
+		pw.WriteObserver("meshserve", f.obs)
+		pw.WriteLatencyBurn("meshserve", f.obs, lat)
+	}
+	w.Header().Set("Content-Type", obs.ContentType)
+	_, _ = w.Write(pw.Bytes())
+}
+
+// promServe renders the serving families: the counters summed over every
+// incarnation of every replica (Stats.Agg), the fleet's health and the
+// replicas' breaker and queue gauges, and the serving latency merged
+// bucket-exact across live replicas (fixed boundaries sum losslessly).
+func (f *Fleet) promServe(pw *obs.PromWriter, agg serve.Stats, views []ReplicaView) {
+	pw.Counter("meshserve_lookups_total", "Lookups by admission outcome.", float64(agg.Accepted), "result", "accepted")
+	pw.Counter("meshserve_lookups_total", "Lookups by admission outcome.", float64(agg.Rejected), "result", "rejected")
+	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(agg.Served-agg.Degraded), "path", "mesh")
+	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(agg.Degraded), "path", "oracle")
+	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(agg.Failed), "path", "error")
+	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(agg.Rounds-agg.DegradedRounds), "kind", "mesh")
+	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(agg.DegradedRounds), "kind", "degraded")
+	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(agg.CanaryRounds), "kind", "canary")
+	pw.Counter("meshserve_sim_steps_total", "Simulated mesh steps across all rounds.", float64(agg.SimSteps))
+	pw.Counter("meshserve_retries_total", "Audited re-executions of failed rounds.", float64(agg.Retries))
+	pw.Counter("meshserve_budget_shed_total", "Lookups shed with the deadline budget exhausted.", float64(agg.BudgetShed))
+	pw.Counter("meshserve_recovered_rounds_total", "Rounds that failed, then succeeded on a retry.", float64(agg.Recovered))
+	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(agg.FaultsAudit), "class", "audit")
+	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(agg.FaultsBudget), "class", "budget")
+	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(agg.FaultsCanceled), "class", "canceled")
+	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(agg.FaultsPanic), "class", "panic")
+	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(agg.FaultsOther), "class", "other")
+	pw.Counter("meshserve_circuit_transitions_total", "Circuit breaker transitions.", float64(agg.CircuitOpens), "to", "open")
+	pw.Counter("meshserve_circuit_transitions_total", "Circuit breaker transitions.", float64(agg.CircuitCloses), "to", "closed")
+
+	// Health as a one-hot gauge family; breaker and queue state summed over
+	// the live replicas.
+	h := f.Health()
+	for _, state := range []serve.Health{serve.Healthy, serve.Degraded, serve.LameDuck} {
+		pw.Gauge("meshserve_health_state", "Current health state (one-hot).", boolGauge(h == state), "state", state.String())
+	}
+	var open, depth, capacity int
+	for _, rv := range views {
+		if !rv.Up {
+			continue
+		}
+		if rv.Health == serve.Degraded {
+			open++
+		}
+		depth += rv.QueueLen
+		capacity += rv.QueueCap
+	}
+	pw.Gauge("meshserve_circuit_open", "Live replicas whose circuit breaker is open.", float64(open))
+	pw.Gauge("meshserve_queue_depth", "Current admission-queue depth, summed over live replicas.", float64(depth))
+	pw.Gauge("meshserve_queue_capacity", "Admission-queue capacity, summed over live replicas.", float64(capacity))
+
+	// Per-kind serving counters and latency: each query family runs its own
+	// rounds on the shared mesh, so the split is what localizes a regression
+	// to one structure instead of "the server got slower".
+	for _, ks := range agg.Kinds {
+		pw.Counter("meshserve_kind_served_total", "Answered lookups by query kind.", float64(ks.Served), "kind", ks.Kind)
+		pw.Counter("meshserve_kind_degraded_total", "Oracle-degraded answers by query kind.", float64(ks.Degraded), "kind", ks.Kind)
+		pw.Counter("meshserve_kind_rounds_total", "Serving rounds by query kind.", float64(ks.Rounds), "kind", ks.Kind)
+		pw.Counter("meshserve_kind_sim_steps_total", "Simulated mesh steps by query kind.", float64(ks.SimSteps), "kind", ks.Kind)
+	}
+	var byKind [serve.NumKinds]obs.HistSnapshot
 	var mAll, mMesh, mDeg obs.HistSnapshot
 	for i := range f.reps {
 		inst := f.instance(i)
 		if inst == nil {
 			continue
 		}
+		for _, k := range f.ss.Kinds() {
+			byKind[k] = byKind[k].Merge(inst.LatencyByKind(k))
+		}
 		mAll = mAll.Merge(inst.LatencySnapshot())
 		im, id := inst.LatencyByOutcome()
 		mMesh = mMesh.Merge(im)
 		mDeg = mDeg.Merge(id)
 	}
+	for _, k := range f.ss.Kinds() {
+		pw.Histogram("meshserve_kind_request_duration_seconds", "Answered-lookup latency by query kind, merged across live replicas.", byKind[k], "kind", k.String())
+	}
+	// End-to-end serving latency: combined for continuity, split by outcome
+	// so the oracle fast path cannot pollute the mesh-served p99.
 	pw.Histogram("meshserve_request_duration_seconds", "Per-replica serving latency, merged across live replicas.", mAll, "outcome", "all")
 	pw.Histogram("meshserve_request_duration_seconds", "Per-replica serving latency, merged across live replicas.", mMesh, "outcome", "mesh")
 	pw.Histogram("meshserve_request_duration_seconds", "Per-replica serving latency, merged across live replicas.", mDeg, "outcome", "degraded")
-
-	if f.obs != nil {
-		pw.WriteObserver("meshfleet", f.obs)
-		pw.WriteLatencyBurn("meshfleet", f.obs, lat)
-	}
-	w.Header().Set("Content-Type", obs.ContentType)
-	_, _ = w.Write(pw.Bytes())
 }
 
 func boolGauge(b bool) float64 {

@@ -14,16 +14,16 @@ import (
 	"repro/internal/serve"
 )
 
-// HTTPTarget drives a remote meshserve — one instance or a whole fleet —
-// over its HTTP surface, so the open-loop harness can measure a server it
-// does not share a process (or machine) with. Lookup and Stats satisfy the
-// Config seam; the status→error mapping inverts the /search handler's, so
-// the harness's outcome accounting (rejected vs failed vs answered) means
-// the same thing in-process and over the wire.
+// HTTPTarget drives a remote meshserve over its HTTP surface, so the
+// open-loop harness can measure a server it does not share a process (or
+// machine) with. LookupKind and Stats satisfy the Config seam; the
+// status→error mapping inverts the /search handler's, so the harness's
+// outcome accounting (rejected vs failed vs answered) means the same thing
+// in-process and over the wire.
 type HTTPTarget struct {
 	Base   string // e.g. http://127.0.0.1:8845, no trailing slash
 	Client *http.Client
-	// Trace enables W3C traceparent propagation: each Lookup mints a trace
+	// Trace enables W3C traceparent propagation: each lookup mints a trace
 	// ID and sends it, so the server-side trace at /debug/traces carries an
 	// ID the client chose — the hook for correlating a slow client-side
 	// sample with its server-side stage decomposition.
@@ -44,15 +44,8 @@ func NewHTTPTarget(base string) *HTTPTarget {
 	}
 }
 
-// Lookup fires one membership /search query — LookupKind with the
-// membership kind, kept for pre-kind callers.
-func (t *HTTPTarget) Lookup(ctx context.Context, needle int64) (serve.Result, error) {
-	return t.LookupKind(ctx, serve.KindMembership, serve.Args{needle})
-}
-
-// searchURL renders the kind-typed /search URL: the per-kind parameter
-// names mirror serve.ParseSearchArgs, and membership keeps the bare
-// ?key= shape so a v1 server can still be driven.
+// searchURL renders the kind-typed /search URL from serve.SearchParams, the
+// table serve.ParseSearchArgs reads; membership keeps the bare ?key= shape.
 func searchURL(base string, kind serve.Kind, args serve.Args) string {
 	var b strings.Builder
 	b.WriteString(base)
@@ -62,8 +55,7 @@ func searchURL(base string, kind serve.Kind, args serve.Args) string {
 		b.WriteString(kind.String())
 		b.WriteByte('&')
 	}
-	params := kindQueryParams[kind]
-	for i, name := range params {
+	for i, name := range serve.SearchParams[kind] {
 		if i > 0 {
 			b.WriteByte('&')
 		}
@@ -72,15 +64,6 @@ func searchURL(base string, kind serve.Kind, args serve.Args) string {
 		b.WriteString(strconv.FormatInt(args[i], 10))
 	}
 	return b.String()
-}
-
-// kindQueryParams mirrors the serve handler's per-kind parameter names.
-var kindQueryParams = [serve.NumKinds][]string{
-	serve.KindMembership: {"key"},
-	serve.KindPointLoc:   {"x", "y"},
-	serve.KindInterval:   {"lo", "hi"},
-	serve.KindLinePoly:   {"x", "y"},
-	serve.KindTangent:    {"dx", "dy", "dz"},
 }
 
 // LookupKind fires one typed /search query. Statuses map back to the
@@ -136,7 +119,7 @@ func (t *HTTPTarget) LookupKind(ctx context.Context, kind serve.Kind, args serve
 	return res, nil
 }
 
-// metricsDoc is the slice of /metrics both an instance and a fleet expose.
+// metricsDoc is the slice of /metrics the harness reads.
 type metricsDoc struct {
 	Serve    serve.Stats `json:"serve"`
 	Side     int         `json:"side"`
@@ -145,8 +128,7 @@ type metricsDoc struct {
 }
 
 // Stats samples the remote serving counters from /metrics (the "serve"
-// document an instance exports directly and a fleet exports as its
-// aggregate). Best-effort: a failed scrape returns zero stats rather than
+// document: the fleet's aggregate of its replicas' counters). Best-effort: a failed scrape returns zero stats rather than
 // failing the run — the harness then reports sim-steps as 0 for that
 // window, which is visible, not silent.
 func (t *HTTPTarget) Stats() serve.Stats {

@@ -6,18 +6,29 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/serve"
 )
 
 // TestHTTPTargetDrivesRemoteServer runs the open-loop harness against a real
-// serve.Instance over its HTTP surface: shape probing, the full lookup path,
-// and oracle checking must all work across the wire exactly as in-process.
+// server — a fleet of one, as meshserve serves — over its HTTP surface:
+// shape probing, the full lookup path, and oracle checking must all work
+// across the wire exactly as in-process.
 func TestHTTPTargetDrivesRemoteServer(t *testing.T) {
-	s := newRunServer(t)
-	srv := httptest.NewServer(s.Handler())
+	f, err := fleet.New(fleet.Config{Instance: serve.Config{Side: 8, Linger: 500 * time.Microsecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		_ = f.Shutdown(ctx)
+	})
+	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()
 	target := NewHTTPTarget(srv.URL)
 
@@ -25,8 +36,8 @@ func TestHTTPTargetDrivesRemoteServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if side != 8 || keys != len(s.Tree().Keys) {
-		t.Fatalf("probe reported %dx%d / %d keys, want 8x8 / %d", side, side, keys, len(s.Tree().Keys))
+	if side != 8 || keys != len(f.Tree().Keys) {
+		t.Fatalf("probe reported %dx%d / %d keys, want 8x8 / %d", side, side, keys, len(f.Tree().Keys))
 	}
 
 	arr, err := Poisson(Schedule{{Rate: 300, Dur: 600 * time.Millisecond}}, 11)
@@ -42,11 +53,11 @@ func TestHTTPTargetDrivesRemoteServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Run(Config{
-		Lookup:   target.Lookup,
-		Stats:    target.Stats,
-		Events:   events,
-		Window:   200 * time.Millisecond,
-		Contains: s.Tree().Contains,
+		LookupKind: target.LookupKind,
+		Stats:      target.Stats,
+		Events:     events,
+		Window:     200 * time.Millisecond,
+		Check:      StructureChecker(f.Structures()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +70,9 @@ func TestHTTPTargetDrivesRemoteServer(t *testing.T) {
 	}
 	if got := rep.Total.Answered + rep.Total.Rejected + rep.Total.Shed; got != rep.Total.Offered {
 		t.Fatalf("outcome accounting leaks over HTTP: %d of %d offered", got, rep.Total.Offered)
+	}
+	if rep.Total.SimStepsPerQuery <= 0 {
+		t.Fatalf("sim steps/query %v: the remote serving counters were not scraped", rep.Total.SimStepsPerQuery)
 	}
 }
 
@@ -75,22 +89,25 @@ func TestHTTPTargetStatusMapping(t *testing.T) {
 	}))
 	defer stub.Close()
 	target := NewHTTPTarget(stub.URL)
+	lookup := func(ctx context.Context) (serve.Result, error) {
+		return target.LookupKind(ctx, serve.KindMembership, serve.Args{1})
+	}
 
 	status, body = http.StatusTooManyRequests, "overloaded\n"
-	if _, err := target.Lookup(context.Background(), 1); !errors.Is(err, serve.ErrOverloaded) {
+	if _, err := lookup(context.Background()); !errors.Is(err, serve.ErrOverloaded) {
 		t.Fatalf("429 mapped to %v, want ErrOverloaded", err)
 	}
 	status, body = http.StatusServiceUnavailable, "draining\n"
-	if _, err := target.Lookup(context.Background(), 1); !errors.Is(err, serve.ErrClosed) {
+	if _, err := lookup(context.Background()); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("503 mapped to %v, want ErrClosed", err)
 	}
 	status, body = http.StatusInternalServerError, "boom\n"
-	if _, err := target.Lookup(context.Background(), 1); err == nil ||
+	if _, err := lookup(context.Background()); err == nil ||
 		errors.Is(err, serve.ErrOverloaded) || errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("500 mapped to %v, want a generic failure", err)
 	}
 	status, body = http.StatusOK, "{not json"
-	if _, err := target.Lookup(context.Background(), 1); err == nil {
+	if _, err := lookup(context.Background()); err == nil {
 		t.Fatal("garbage 200 body accepted")
 	}
 
@@ -98,7 +115,7 @@ func TestHTTPTargetStatusMapping(t *testing.T) {
 	// accounting matches in-process runs.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := target.Lookup(ctx, 1); !errors.Is(err, context.Canceled) {
+	if _, err := lookup(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled-context lookup → %v, want context.Canceled", err)
 	}
 
@@ -110,5 +127,35 @@ func TestHTTPTargetStatusMapping(t *testing.T) {
 	}
 	if _, _, err := target.Probe(context.Background()); err == nil {
 		t.Fatal("probe of a shapeless /metrics succeeded")
+	}
+}
+
+// TestSearchURLParsesBack pins the one /search parameter table: for every
+// kind, the URL the client renders parses back through the server's own
+// ParseKind and ParseSearchArgs to the arguments it was rendered from.
+func TestSearchURLParsesBack(t *testing.T) {
+	args := serve.Args{-7, 0, 1 << 40}
+	for k := serve.Kind(0); k < serve.NumKinds; k++ {
+		u, err := url.Parse(searchURL("http://h:1", k, args))
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		if u.Path != "/search" {
+			t.Fatalf("%s: path %q", k, u.Path)
+		}
+		q := u.Query()
+		kind, err := serve.ParseKind(q.Get("kind"))
+		if err != nil || kind != k {
+			t.Fatalf("%s: kind parsed back as %v (%v)", k, kind, err)
+		}
+		got, err := serve.ParseSearchArgs(kind, q)
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		var want serve.Args
+		copy(want[:], args[:len(serve.SearchParams[k])])
+		if got != want {
+			t.Fatalf("%s: %s parsed back as %v, want %v", k, u, got, want)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/serve"
 )
 
-func newRunServer(t *testing.T) *serve.Server {
+func newRunServer(t *testing.T) *serve.Instance {
 	t.Helper()
 	s, err := serve.New(serve.Config{Side: 8, Linger: 500 * time.Microsecond})
 	if err != nil {
@@ -22,6 +22,16 @@ func newRunServer(t *testing.T) *serve.Server {
 		_ = s.Shutdown(ctx)
 	})
 	return s
+}
+
+// instanceRun is the Config for driving an in-process instance, with every
+// answer checked against its host oracle.
+func instanceRun(s *serve.Instance, events []TraceEvent, window time.Duration) Config {
+	return Config{
+		LookupKind: s.LookupKind, Stats: s.Stats,
+		Events: events, Window: window,
+		Check: StructureChecker(s.Structures()),
+	}
 }
 
 // TestRunRecordReplayIdenticalAnswers is the harness's core contract: a
@@ -44,7 +54,7 @@ func TestRunRecordReplayIdenticalAnswers(t *testing.T) {
 	}
 
 	s1 := newRunServer(t)
-	rep1, err := Run(Config{Server: s1, Events: events, Window: 200 * time.Millisecond, Contains: s1.Tree().Contains})
+	rep1, err := Run(instanceRun(s1, events, 200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +67,7 @@ func TestRunRecordReplayIdenticalAnswers(t *testing.T) {
 
 	replayEvents := StripAnswers(events)
 	s2 := newRunServer(t)
-	rep2, err := Run(Config{Server: s2, Events: replayEvents, Window: 200 * time.Millisecond, Contains: s2.Tree().Contains})
+	rep2, err := Run(instanceRun(s2, replayEvents, 200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +91,7 @@ func TestRunWindowAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newRunServer(t)
-	rep, err := Run(Config{Server: s, Events: events, Window: 300 * time.Millisecond, Contains: s.Tree().Contains})
+	rep, err := Run(instanceRun(s, events, 300*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +226,8 @@ func TestGenerateBounds(t *testing.T) {
 	if err := (Config{}).check(); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	if _, err := Run(Config{Server: nil, Events: []TraceEvent{{}}}); err == nil {
-		t.Fatal("nil server accepted")
+	if _, err := Run(Config{Events: []TraceEvent{{}}}); err == nil {
+		t.Fatal("config without a target accepted")
 	}
 }
 
@@ -235,7 +245,8 @@ func TestRunLatencyCountsDispatchDelay(t *testing.T) {
 		events[i] = TraceEvent{I: i, AtNS: int64(i) * int64(time.Millisecond), Needle: int64(i)}
 	}
 	calledAt := make([]time.Time, n)
-	lookup := func(_ context.Context, needle int64) (serve.Result, error) {
+	lookup := func(_ context.Context, _ serve.Kind, args serve.Args) (serve.Result, error) {
+		needle := args[0]
 		calledAt[needle] = time.Now()
 		if needle == 0 {
 			for time.Since(calledAt[0]) < 40*time.Millisecond {
@@ -244,7 +255,7 @@ func TestRunLatencyCountsDispatchDelay(t *testing.T) {
 		return serve.Result{Found: true, LeafKey: needle}, nil
 	}
 	t0 := time.Now() // no later than Run's own start
-	rep, err := Run(Config{Lookup: lookup, Events: events, Window: time.Second})
+	rep, err := Run(Config{LookupKind: lookup, Events: events, Window: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Package loadgen is the open-loop workload generator and SLO harness for
-// the serve layer (DESIGN.md §3.7). Unlike the closed-loop sweep in
-// cmd/meshserve (-loadgen), which can only offer as much load as the server
-// absorbs, loadgen fires queries on an arrival clock that does not wait for
-// responses — the only way to observe saturation, queueing delay, and the
-// offered-vs-achieved gap Theorem 2's amortized throughput bound is about.
+// the serve layer (DESIGN.md §3.7). Unlike closed-loop clients, which can
+// only offer as much load as the server absorbs, loadgen fires queries on
+// an arrival clock that does not wait for responses — the only way to
+// observe saturation, queueing delay, and the offered-vs-achieved gap
+// Theorem 2's amortized throughput bound is about.
 //
 // The pieces compose:
 //
@@ -14,7 +14,8 @@
 //     dictionary's needle domain.
 //   - Generate → []TraceEvent: a materialized, replayable arrival plan;
 //     WriteTrace/ReadTrace round-trip it (with answers) through JSONL.
-//   - Run: drives serve.Server in-process, reporting per-window percentiles
+//   - Run: drives a target (an in-process fleet, or a remote server over
+//     HTTP) through Config.LookupKind, reporting per-window percentiles
 //     (fixed-boundary histogram — no per-query allocation on the hot path),
 //     offered vs achieved qps, steps/query, rejected/degraded fractions.
 //   - Saturate: binary-searches the max sustainable rate under an SLO

@@ -77,8 +77,9 @@ func (id TraceID) Traceparent() string {
 }
 
 // ParseTraceparent extracts the trace ID from a W3C traceparent header
-// (`00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>`). Unknown
-// versions are accepted if the layout matches, per spec.
+// (`00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>`). Version 00 is
+// exactly that long; unknown higher versions are accepted if the layout
+// matches and anything they append starts with a dash, per spec.
 func ParseTraceparent(h string) (TraceID, error) {
 	var id TraceID
 	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
@@ -87,8 +88,14 @@ func ParseTraceparent(h string) (TraceID, error) {
 	if h[0] == 'f' && h[1] == 'f' { // version 0xff is forbidden
 		return id, ErrBadTraceparent
 	}
+	if len(h) > 55 && (h[:2] == "00" || h[55] != '-') {
+		return id, ErrBadTraceparent
+	}
 	if !isHex(h[:2]) || !isHex(h[3:35]) || !isHex(h[36:52]) || !isHex(h[53:55]) {
 		return id, ErrBadTraceparent // isHex also rejects spec-forbidden uppercase
+	}
+	if h[36:52] == "0000000000000000" { // the all-zero parent-id is invalid
+		return id, ErrBadTraceparent
 	}
 	if _, err := hex.Decode(id[:], []byte(h[3:35])); err != nil {
 		return TraceID{}, ErrBadTraceparent

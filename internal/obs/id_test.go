@@ -43,16 +43,19 @@ func TestNewTraceIDUnique(t *testing.T) {
 func TestParseTraceparentMalformed(t *testing.T) {
 	valid := NewTraceID().Traceparent()
 	cases := map[string]string{
-		"empty":             "",
-		"short":             "00-abc",
-		"no dashes":         strings.ReplaceAll(valid, "-", "_"),
-		"version ff":        "ff" + valid[2:],
-		"zero trace id":     "00-00000000000000000000000000000000-0000000000000001-01",
-		"uppercase hex":     "00-" + strings.ToUpper(valid[3:35]) + valid[35:],
-		"non-hex trace id":  "00-zz" + valid[5:],
-		"non-hex parent id": valid[:36] + "zzzzzzzzzzzzzzzz" + valid[52:],
-		"non-hex flags":     valid[:53] + "zz",
-		"non-hex version":   "0x" + valid[2:],
+		"empty":                            "",
+		"short":                            "00-abc",
+		"no dashes":                        strings.ReplaceAll(valid, "-", "_"),
+		"version ff":                       "ff" + valid[2:],
+		"zero trace id":                    "00-00000000000000000000000000000000-0000000000000001-01",
+		"uppercase hex":                    "00-" + strings.ToUpper(valid[3:35]) + valid[35:],
+		"non-hex trace id":                 "00-zz" + valid[5:],
+		"non-hex parent id":                valid[:36] + "zzzzzzzzzzzzzzzz" + valid[52:],
+		"non-hex flags":                    valid[:53] + "zz",
+		"non-hex version":                  "0x" + valid[2:],
+		"version 00 longer than 55 bytes":  valid + "-extrafield",
+		"future version, no dash after 55": "42" + valid[2:] + "x-extrafield",
+		"zero parent id":                   valid[:36] + "0000000000000000" + valid[52:],
 	}
 	for name, h := range cases {
 		if _, err := ParseTraceparent(h); err == nil {
@@ -63,9 +66,9 @@ func TestParseTraceparentMalformed(t *testing.T) {
 	if _, err := ParseTraceparent("42" + valid[2:]); err != nil {
 		t.Errorf("version 42 rejected: %v", err)
 	}
-	// Longer headers (future versions append fields) parse too.
-	if _, err := ParseTraceparent(valid + "-extrafield"); err != nil {
-		t.Errorf("extended header rejected: %v", err)
+	// Future versions may append dash-led fields; those headers parse too.
+	if _, err := ParseTraceparent("42" + valid[2:] + "-extrafield"); err != nil {
+		t.Errorf("extended future-version header rejected: %v", err)
 	}
 }
 
@@ -80,4 +83,31 @@ func TestTraceparentParentIDsDiffer(t *testing.T) {
 	if h1[36:52] == h2[36:52] {
 		t.Errorf("parent-id did not rotate: %q vs %q", h1, h2)
 	}
+}
+
+// FuzzParseTraceparent: the parser never panics on arbitrary input, and
+// every header it accepts names an ID that round-trips through the header
+// this process renders for it.
+func FuzzParseTraceparent(f *testing.F) {
+	valid := NewTraceID().Traceparent()
+	for _, seed := range []string{
+		"", valid, "ff" + valid[2:], "42" + valid[2:] + "-x", valid + "-x",
+		"00-00000000000000000000000000000000-0000000000000001-01",
+		valid[:36] + "0000000000000000" + valid[52:],
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		id, err := ParseTraceparent(h)
+		if err != nil {
+			return
+		}
+		if id.IsZero() {
+			t.Fatalf("accepted %q with the all-zero trace ID", h)
+		}
+		back, err := ParseTraceparent(id.Traceparent())
+		if err != nil || back != id {
+			t.Fatalf("accepted %q as %s, but its rendering %q parses as %s (%v)", h, id, id.Traceparent(), back, err)
+		}
+	})
 }

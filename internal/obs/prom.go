@@ -126,7 +126,7 @@ func (w *PromWriter) Bytes() []byte { return w.buf.Bytes() }
 
 // WriteObserver emits the observer's own families under the given prefix
 // (e.g. "meshserve"): per-stage wall-clock histograms, per-outcome counters,
-// and the SLO burn-rate gauges. Shared by the serve and fleet handlers.
+// and the SLO burn-rate gauges.
 func (w *PromWriter) WriteObserver(prefix string, o *Observer) {
 	// One stage-histogram family; when the observer tracks more than one
 	// request class (query kinds, in the serving stack) each class gets its

@@ -2,16 +2,15 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
 	"time"
-
-	"repro/internal/obs"
 )
+
+// This file is the /search wire contract: the one copy that the HTTP
+// handler (fleet.Handler) and the HTTP client (loadgen.HTTPTarget) share.
 
 // StatusClientClosedRequest is nginx's non-standard 499 "client closed
 // request": the client disconnected before the round answered. There is no
@@ -21,7 +20,7 @@ const StatusClientClosedRequest = 499
 
 // DeadlineBudgetHeader carries the client's remaining deadline budget as a
 // Go duration string (e.g. "250ms"): loadgen.HTTPTarget sets it from its
-// per-query context, the /search handlers parse it into a server-side
+// per-query context, the /search handler parses it into a server-side
 // deadline, and every budget rung below — admission, linger, retry ladder,
 // fleet failover — then sees the same budget the client is holding
 // (DESIGN.md §3.11). Without it a remote server cannot shed doomed work:
@@ -31,7 +30,6 @@ const DeadlineBudgetHeader = "X-Deadline-Budget"
 // WithDeadlineBudget applies an incoming deadline-budget header to ctx.
 // Absent or malformed headers leave ctx unchanged (the returned cancel is
 // then a no-op but always non-nil, so callers can defer it unconditionally).
-// Shared with the fleet handler.
 func WithDeadlineBudget(ctx context.Context, r *http.Request) (context.Context, context.CancelFunc) {
 	if v := r.Header.Get(DeadlineBudgetHeader); v != "" {
 		if d, err := time.ParseDuration(v); err == nil && d > 0 {
@@ -41,79 +39,10 @@ func WithDeadlineBudget(ctx context.Context, r *http.Request) (context.Context, 
 	return ctx, func() {}
 }
 
-// Handler returns the server's HTTP surface:
-//
-//	GET /search?key=K   — one lookup; the response rides the query's round.
-//	                      ?kind= selects the query family (membership when
-//	                      absent, so pre-kind clients keep working); each
-//	                      kind has its own integer parameters:
-//	                        membership  ?key=K
-//	                        pointloc    ?x=X&y=Y
-//	                        interval    ?lo=L&hi=H
-//	                        linepoly    ?x=X&y=Y
-//	                        tangent     ?dx=DX&dy=DY&dz=DZ
-//	                      400 for an unknown kind, missing/malformed
-//	                      parameters, or a kind this instance does not serve
-//	                      (ErrKindNotServed — a client error: the instance
-//	                      was configured without that structure).
-//	                      429 on ErrOverloaded (retryable), 503 after
-//	                      Shutdown — both with a Retry-After hint — and 500
-//	                      for a failed round (only reachable with
-//	                      DisableDegrade), with the typed error's message.
-//	GET /healthz        — health state machine for load balancers: 200 while
-//	                      healthy, 503 while degraded (circuit open, answers
-//	                      come from the host oracle) or draining (lame-duck),
-//	                      with the state and recovery counters as JSON.
-//	GET /metrics        — serving counters (including the recovery ladder's),
-//	                      health state, per-round step-budget headroom, and,
-//	                      when a tracer is configured, its live span snapshot.
-//	                      ?format=prometheus switches to the Prometheus text
-//	                      exposition (stage histograms, outcome counters,
-//	                      outcome-split latency, breaker state, SLO burn).
-//	GET /debug/traces   — retained wall-clock request traces (requires
-//	                      Config.Obs; see obs.Observer.DebugHandler).
-func (s *Instance) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/search", s.handleSearch)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	if s.obs != nil {
-		mux.Handle("/debug/traces", s.obs.DebugHandler())
-	} else {
-		mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, _ *http.Request) {
-			http.Error(w, "serve: request tracing disabled (Config.Obs is nil)", http.StatusNotFound)
-		})
-	}
-	return mux
-}
-
-// traceCtx threads an incoming W3C traceparent into the lookup context —
-// and mints a fresh trace ID when the request carries none (or a malformed
-// one, which the spec says to ignore) — so the Lookup-begun trace adopts the
-// wire ID and the response can echo it for client-side correlation.
-func (s *Instance) traceCtx(w http.ResponseWriter, r *http.Request) context.Context {
-	ctx := r.Context()
-	if s.obs == nil {
-		return ctx
-	}
-	id, err := obs.ParseTraceparent(r.Header.Get("traceparent"))
-	if err != nil {
-		id = obs.NewTraceID()
-	}
-	w.Header().Set("Traceparent", id.Traceparent())
-	return obs.ContextWithParent(ctx, id)
-}
-
-// retryAfterSeconds renders RetryAfterHint for 429/503 responses: at least
-// one second (the header's resolution), enough for several rounds to drain
-// the admission queue or for a canary to close the circuit.
-func (s *Instance) retryAfterSeconds() string {
-	return RetryAfterSeconds(s.RetryAfterHint())
-}
-
 // RetryAfterSeconds renders a retry hint as a Retry-After header value,
-// clamped up to the header's one-second resolution. Shared with the fleet
-// handlers, whose hint is the minimum across healthy replicas.
+// clamped up to the header's one-second resolution: at least one second,
+// enough for several rounds to drain the admission queue or for a canary to
+// close the circuit.
 func RetryAfterSeconds(hint time.Duration) string {
 	secs := int64((hint + time.Second - 1) / time.Second)
 	if secs < 1 {
@@ -122,8 +51,17 @@ func RetryAfterSeconds(hint time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// kindParams names each kind's /search query parameters, in Args order.
-var kindParams = [NumKinds][]string{
+// SearchParams names each kind's /search query parameters, in Args order:
+//
+//	membership  ?key=K
+//	pointloc    ?x=X&y=Y
+//	interval    ?lo=L&hi=H
+//	linepoly    ?x=X&y=Y
+//	tangent     ?dx=DX&dy=DY&dz=DZ
+//
+// ?kind= selects the family (membership when absent, so pre-kind clients
+// keep working).
+var SearchParams = [NumKinds][]string{
 	KindMembership: {"key"},
 	KindPointLoc:   {"x", "y"},
 	KindInterval:   {"lo", "hi"},
@@ -132,10 +70,10 @@ var kindParams = [NumKinds][]string{
 }
 
 // ParseSearchArgs extracts one kind's typed arguments from a /search query
-// string (shared with the fleet handler, which speaks the same contract).
+// string.
 func ParseSearchArgs(kind Kind, q url.Values) (Args, error) {
 	var a Args
-	for i, name := range kindParams[kind] {
+	for i, name := range SearchParams[kind] {
 		v, err := strconv.ParseInt(q.Get(name), 10, 64)
 		if err != nil {
 			return a, fmt.Errorf("serve: /search kind=%s needs an integer ?%s=", kind, name)
@@ -143,239 +81,4 @@ func ParseSearchArgs(kind Kind, q url.Values) (Args, error) {
 		a[i] = v
 	}
 	return a, nil
-}
-
-func (s *Instance) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	kind, err := ParseKind(q.Get("kind"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	args, err := ParseSearchArgs(kind, q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := WithDeadlineBudget(s.traceCtx(w, r), r)
-	defer cancel()
-	res, err := s.LookupKind(ctx, kind, args)
-	switch {
-	case errors.Is(err, ErrKindNotServed):
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	case errors.Is(err, ErrClosed):
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case errors.Is(err, ErrBudgetExhausted):
-		// Doomed work shed by a budget rung: the client's own deadline was
-		// about to lapse, so 504 (the server gave up on its behalf) rather
-		// than a 5xx that reads as a server fault.
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		return
-	case r.Context().Err() == nil && errors.Is(err, context.DeadlineExceeded):
-		// The budget-header deadline fired server-side while the client
-		// connection is still open: same doomed-work class as the typed shed.
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		return
-	case r.Context().Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-		// The *request's* context fired: the client disconnected (Canceled)
-		// or its per-request deadline lapsed (DeadlineExceeded). That is a
-		// client-side outcome, not a server error — map it to the 4xx class
-		// so disconnect storms don't read as a 500 spike. Server-side
-		// cancellation (drain aborting an in-flight round) keeps its own
-		// context and still maps to 500 below.
-		status := StatusClientClosedRequest
-		if errors.Is(err, context.DeadlineExceeded) {
-			status = http.StatusRequestTimeout
-		}
-		http.Error(w, err.Error(), status)
-		return
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, res)
-}
-
-// handleHealthz is the load-balancer contract: 200 only while Healthy.
-// Degraded (oracle answers, canaries probing) and LameDuck (draining) are
-// both 503 — the server still answers /search correctly in the former, but
-// a balancer with a healthy replica should prefer it.
-func (s *Instance) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	h := s.Health()
-	st := s.Stats()
-	doc := map[string]any{
-		"health":         h.String(),
-		"circuit_opens":  st.CircuitOpens,
-		"circuit_closes": st.CircuitCloses,
-		"canary_rounds":  st.CanaryRounds,
-		"canary_fails":   st.CanaryFails,
-		"degraded":       st.Degraded,
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if h != Healthy {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(doc)
-}
-
-func (s *Instance) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// The Prometheus text exposition lives beside the JSON document, not in
-	// place of it: loadgen.HTTPTarget and the PR 4-7 tooling scrape the JSON
-	// shape, Prometheus scrapers ask for ?format=prometheus.
-	if r.URL.Query().Get("format") == "prometheus" {
-		s.promMetrics(w)
-		return
-	}
-	st := s.Stats()
-	doc := map[string]any{
-		"serve":     st,
-		"max_batch": s.maxBatch,
-		"health":    st.Health,
-		// Server shape, so a remote load-generator (loadgen.HTTPTarget) can
-		// probe the key domain and replay-trace compatibility over HTTP.
-		"side": s.cfg.Side,
-		"keys": len(s.bt.Keys),
-		// Enabled query kinds with their per-kind counters and latency, so a
-		// mixed-workload client can discover what this instance serves.
-		"kinds": st.Kinds,
-	}
-	// Per-round gauges describe the *mesh* path only: an oracle-degraded
-	// batch consumes no mesh round, so counting it would deflate
-	// sim_steps_per_round and inflate queries_per_round under chaos.
-	// Degraded throughput is reported as its own gauge instead. (Deltas of
-	// counters loaded at slightly different instants can transiently go
-	// negative under a concurrent snapshot; clamp like in_flight below.)
-	meshRounds := st.Rounds - st.DegradedRounds
-	meshServed := st.Served - st.Degraded
-	if meshServed < 0 {
-		meshServed = 0
-	}
-	if meshRounds > 0 {
-		doc["queries_per_round"] = float64(meshServed+st.Failed) / float64(meshRounds)
-		doc["sim_steps_per_round"] = float64(st.SimSteps) / float64(meshRounds)
-	}
-	if st.DegradedRounds > 0 {
-		doc["degraded_queries_per_round"] = float64(st.Degraded) / float64(st.DegradedRounds)
-	}
-	if st.Served > 0 {
-		doc["degraded_fraction"] = float64(st.Degraded) / float64(st.Served)
-	}
-	// Derived gauges subtract counters loaded at slightly different
-	// instants, so clamp anything that could transiently go negative under
-	// a concurrent snapshot (same class as the step_budget_headroom clamp).
-	inflight := st.Accepted - st.Served - st.Failed
-	if inflight < 0 {
-		inflight = 0
-	}
-	doc["in_flight"] = inflight
-	if recoveries := st.Recovered + st.DegradedRounds; recoveries > 0 {
-		doc["recovered_rounds"] = recoveries
-	}
-	if s.cfg.Tracer != nil {
-		live := s.cfg.Tracer.Live()
-		doc["trace"] = live
-		if s.cfg.Budget > 0 {
-			// Same semantics as meshbench -metrics: the span clock is a
-			// low-water mark, so clamp remaining headroom at zero.
-			headroom := s.cfg.Budget - live.StepClock
-			if headroom < 0 {
-				headroom = 0
-			}
-			doc["step_budget_headroom"] = headroom
-		}
-	}
-	writeJSON(w, doc)
-}
-
-// promMetrics renders the instance's Prometheus text exposition. Counter
-// families mirror the JSON Stats; histograms are the combined and
-// outcome-split latency plus (with Config.Obs) the per-stage wall-clock
-// decomposition and SLO burn gauges.
-func (s *Instance) promMetrics(w http.ResponseWriter) {
-	st := s.Stats()
-	pw := obs.NewPromWriter()
-
-	pw.Counter("meshserve_lookups_total", "Lookups by admission outcome.", float64(st.Accepted), "result", "accepted")
-	pw.Counter("meshserve_lookups_total", "Lookups by admission outcome.", float64(st.Rejected), "result", "rejected")
-	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(st.Served-st.Degraded), "path", "mesh")
-	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(st.Degraded), "path", "oracle")
-	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(st.Failed), "path", "error")
-	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(st.Rounds-st.DegradedRounds), "kind", "mesh")
-	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(st.DegradedRounds), "kind", "degraded")
-	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(st.CanaryRounds), "kind", "canary")
-	pw.Counter("meshserve_sim_steps_total", "Simulated mesh steps across all rounds.", float64(st.SimSteps))
-	pw.Counter("meshserve_retries_total", "Audited re-executions of failed rounds.", float64(st.Retries))
-	pw.Counter("meshserve_budget_shed_total", "Lookups shed with the deadline budget exhausted.", float64(st.BudgetShed))
-	pw.Counter("meshserve_recovered_rounds_total", "Rounds that failed, then succeeded on a retry.", float64(st.Recovered))
-	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(st.FaultsAudit), "class", "audit")
-	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(st.FaultsBudget), "class", "budget")
-	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(st.FaultsCanceled), "class", "canceled")
-	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(st.FaultsPanic), "class", "panic")
-	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(st.FaultsOther), "class", "other")
-	pw.Counter("meshserve_circuit_transitions_total", "Circuit breaker transitions.", float64(st.CircuitOpens), "to", "open")
-	pw.Counter("meshserve_circuit_transitions_total", "Circuit breaker transitions.", float64(st.CircuitCloses), "to", "closed")
-
-	// Breaker / health state as a one-hot gauge family plus a plain 0/1.
-	h := s.Health()
-	for _, state := range []Health{Healthy, Degraded, LameDuck} {
-		v := 0.0
-		if h == state {
-			v = 1
-		}
-		pw.Gauge("meshserve_health_state", "Current health state (one-hot).", v, "state", state.String())
-	}
-	pw.Gauge("meshserve_circuit_open", "1 while the circuit breaker is open.", boolGauge(s.circuitOpen.Load()))
-	pw.Gauge("meshserve_queue_depth", "Current admission-queue depth.", float64(s.QueueLen()))
-	pw.Gauge("meshserve_queue_capacity", "Admission-queue capacity.", float64(s.QueueCap()))
-
-	// Per-kind serving counters and latency: each query family runs its own
-	// rounds on the shared mesh, so the split is what localizes a regression
-	// to one structure instead of "the server got slower".
-	for _, ks := range st.Kinds {
-		pw.Counter("meshserve_kind_served_total", "Answered lookups by query kind.", float64(ks.Served), "kind", ks.Kind)
-		pw.Counter("meshserve_kind_degraded_total", "Oracle-degraded answers by query kind.", float64(ks.Degraded), "kind", ks.Kind)
-		pw.Counter("meshserve_kind_rounds_total", "Serving rounds by query kind.", float64(ks.Rounds), "kind", ks.Kind)
-		pw.Counter("meshserve_kind_sim_steps_total", "Simulated mesh steps by query kind.", float64(ks.SimSteps), "kind", ks.Kind)
-	}
-	for _, k := range s.kinds {
-		pw.Histogram("meshserve_kind_request_duration_seconds", "Answered-lookup latency by query kind.", s.LatencyByKind(k), "kind", k.String())
-	}
-
-	// End-to-end latency: combined for continuity, split by outcome so the
-	// oracle fast path cannot pollute the mesh-served p99.
-	lat := s.lat.Snapshot()
-	pw.Histogram("meshserve_request_duration_seconds", "Answered-lookup latency, admission to response.", lat, "outcome", "all")
-	pw.Histogram("meshserve_request_duration_seconds", "Answered-lookup latency, admission to response.", s.latMesh.Snapshot(), "outcome", "mesh")
-	pw.Histogram("meshserve_request_duration_seconds", "Answered-lookup latency, admission to response.", s.latDegraded.Snapshot(), "outcome", "degraded")
-
-	if s.obs != nil {
-		pw.WriteObserver("meshserve", s.obs)
-		pw.WriteLatencyBurn("meshserve", s.obs, lat)
-	}
-	w.Header().Set("Content-Type", obs.ContentType)
-	_, _ = w.Write(pw.Bytes())
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
 }

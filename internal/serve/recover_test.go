@@ -3,9 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"io"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -254,7 +251,9 @@ func TestBudgetOverrunDegradesToOracle(t *testing.T) {
 // TestCircuitBreakerOpensAndCanaryCloses drives the full health cycle:
 // healthy → (mesh breaks) degraded with oracle answers → (mesh heals) a
 // periodic audited canary closes the circuit → healthy mesh serving again,
-// with /healthz flipping 200 → 503 → 200.
+// with the retry hint stretching to the canary interval while the circuit
+// is open. (The /healthz side of the cycle is pinned on a fleet of one by
+// fleet's TestFleetHealthzFollowsReplicaBreaker.)
 func TestCircuitBreakerOpensAndCanaryCloses(t *testing.T) {
 	g := &gateInjector{}
 	s := newTestServer(t, Config{
@@ -263,26 +262,17 @@ func TestCircuitBreakerOpensAndCanaryCloses(t *testing.T) {
 		CanaryInterval: 2 * time.Millisecond,
 		RetryBackoff:   10 * time.Microsecond,
 	})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	healthz := func() (int, string) {
-		resp, err := srv.Client().Get(srv.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
-	}
 
 	// Phase 1: healthy mesh serving.
 	res, err := s.Lookup(context.Background(), 3)
 	if err != nil || res.Degraded {
 		t.Fatalf("healthy lookup: res=%+v err=%v", res, err)
 	}
-	if code, body := healthz(); code != 200 || !strings.Contains(body, "healthy") {
-		t.Fatalf("/healthz while healthy → %d %s", code, body)
+	if s.Health() != Healthy {
+		t.Fatalf("health %v while the mesh works, want %v", s.Health(), Healthy)
+	}
+	if hint := s.RetryAfterHint(); hint <= 0 || hint >= 2*time.Millisecond {
+		t.Fatalf("healthy retry hint %v, want one fill window (below the 2ms canary interval)", hint)
 	}
 
 	// Phase 2: break the mesh. The next round fails terminally (no
@@ -295,8 +285,8 @@ func TestCircuitBreakerOpensAndCanaryCloses(t *testing.T) {
 	if s.Health() != Degraded {
 		t.Fatalf("health %v after terminal failure, want %v", s.Health(), Degraded)
 	}
-	if code, body := healthz(); code != 503 || !strings.Contains(body, "degraded") {
-		t.Fatalf("/healthz while degraded → %d %s", code, body)
+	if hint := s.RetryAfterHint(); hint < 2*time.Millisecond {
+		t.Fatalf("open-circuit retry hint %v, want at least the 2ms canary interval", hint)
 	}
 	// Let at least one canary probe the still-broken mesh and fail.
 	time.Sleep(10 * time.Millisecond)
@@ -313,9 +303,6 @@ func TestCircuitBreakerOpensAndCanaryCloses(t *testing.T) {
 			t.Fatalf("circuit never closed: %+v", s.Stats())
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-	if code, _ := healthz(); code != 200 {
-		t.Fatalf("/healthz after recovery → %d", code)
 	}
 	res, err = s.Lookup(context.Background(), 3)
 	if err != nil || res.Degraded {
@@ -334,14 +321,15 @@ func TestCircuitBreakerOpensAndCanaryCloses(t *testing.T) {
 }
 
 // TestShutdownEntersLameDuck pins the terminal health state: once Shutdown
-// begins, /healthz reports lame-duck with 503 so load balancers drain away.
+// begins the instance reports lame-duck, still with a positive retry hint
+// for the Retry-After that tells clients when to come back. (The /healthz
+// side — 503, lame-duck, Retry-After — is pinned on a fleet by fleet's
+// TestFleetHTTPAfterShutdown.)
 func TestShutdownEntersLameDuck(t *testing.T) {
 	s, err := New(Config{Side: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
@@ -350,16 +338,10 @@ func TestShutdownEntersLameDuck(t *testing.T) {
 	if s.Health() != LameDuck {
 		t.Fatalf("health after shutdown %v, want %v", s.Health(), LameDuck)
 	}
-	resp, err := srv.Client().Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	if s.Health().String() != "lame-duck" {
+		t.Fatalf("health after shutdown reads %q, want lame-duck", s.Health())
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 503 || !strings.Contains(string(body), "lame-duck") {
-		t.Fatalf("/healthz after shutdown → %d %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 /healthz lacks Retry-After")
+	if s.RetryAfterHint() <= 0 {
+		t.Fatalf("lame-duck retry hint %v, want positive", s.RetryAfterHint())
 	}
 }
