@@ -25,8 +25,8 @@ func runOutageCompare(cfg serve.Config, f workloadFlags) error {
 	// Baseline: the outage plan injects (makeInjector builds fresh latency
 	// injectors per fleet), but hedging and ejection stay off.
 	base := f
-	base.hedgeCfg = fleet.HedgeConfig{}
-	base.ejectCfg = fleet.EjectConfig{}
+	base.recovery.Hedge = fleet.HedgeConfig{}
+	base.recovery.Eject = fleet.EjectConfig{}
 	bt, err := newTarget(cfg, base, f.replicas, f.policy)
 	if err != nil {
 		return err
@@ -49,8 +49,8 @@ func runOutageCompare(cfg serve.Config, f workloadFlags) error {
 
 	// Resilient: same plan, same injected outage, hedging + ejection on.
 	res := f
-	res.hedgeCfg.Enabled = true
-	res.ejectCfg.Enabled = true
+	res.recovery.Hedge.Enabled = true
+	res.recovery.Eject.Enabled = true
 	rt, err := newTarget(cfg, res, f.replicas, f.policy)
 	if err != nil {
 		return err

@@ -97,7 +97,7 @@ func main() {
 	chaosLimit := flag.Int("chaos-limit", 0, "stop injecting after this many faults (0 = unlimited)")
 	retries := flag.Int("retries", 0, "audited re-executions per failed round (0 = default 3, negative = none)")
 	breakerWindow := flag.Int("breaker-window", 0, "circuit-breaker sliding window, in rounds (0 = default 16)")
-	canaryInterval := flag.Duration("canary-interval", 0, "how often an open circuit probes the mesh (0 = default 50ms, negative = never)")
+	canaryInterval := flag.Duration("canary-interval", 0, "how often the fleet prober runs a canary on each circuit-open replica and times a lookup on each ejected one (≤ 0 = default 50ms)")
 	queryDeadline := flag.Duration("query-deadline", 5*time.Second, "per-query deadline for workload lookups (0 = 5s)")
 	obsOn := flag.Bool("obs", true, "request tracing + per-stage wall-clock metrics (internal/obs; /debug/traces, Prometheus /metrics?format=prometheus)")
 	obsRing := flag.Int("obs-ring", 256, "retained-trace ring size for /debug/traces (-obs)")
@@ -116,7 +116,6 @@ func main() {
 	hedgeP99x := flag.Float64("hedge-p99x", 3, "adaptive hedge delay multiple of the per-replica p99 median (-hedge)")
 	eject := flag.Bool("eject", false, "eject latency-outlier replicas from routing until canary probes re-admit them (§3.11)")
 	ejectMultiple := flag.Float64("eject-multiple", 4, "eject a replica whose EWMA latency exceeds this multiple of the fleet median (-eject)")
-	ejectProbe := flag.Duration("eject-probe-interval", 100*time.Millisecond, "how often ejected replicas are probed for re-admission (-eject)")
 	outageCompare := flag.Bool("outage-compare", false, "run the -outage plan twice over the same arrival plan — plain failover vs hedging+ejection — and report the p99 recovery ratio (workload)")
 	outageMinRecovery := flag.Float64("outage-min-recovery", 0, "fail unless the -outage-compare p99 recovery ratio reaches this bound (0 = report only)")
 
@@ -159,15 +158,14 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		Side:           *side,
-		Kinds:          mix.Kinds(),
-		Linger:         *linger,
-		Budget:         int64(*budget),
-		MaxBatch:       *maxBatch,
-		QueueDepth:     *queueDepth,
-		MaxRetries:     *retries,
-		BreakerWindow:  *breakerWindow,
-		CanaryInterval: *canaryInterval,
+		Side:          *side,
+		Kinds:         mix.Kinds(),
+		Linger:        *linger,
+		Budget:        int64(*budget),
+		MaxBatch:      *maxBatch,
+		QueueDepth:    *queueDepth,
+		MaxRetries:    *retries,
+		BreakerWindow: *breakerWindow,
 	}
 	switch *model {
 	case "counted":
@@ -254,8 +252,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "meshserve: -outage-compare needs -outage and -workload (it reruns one arrival plan with and without hedging+ejection)")
 		os.Exit(2)
 	}
-	hedgeCfg := fleet.HedgeConfig{Enabled: *hedge, Delay: *hedgeDelay, P99Multiple: *hedgeP99x}
-	ejectCfg := fleet.EjectConfig{Enabled: *eject, Multiple: *ejectMultiple, ProbeInterval: *ejectProbe}
+	recovery := fleet.Config{
+		Hedge:         fleet.HedgeConfig{Enabled: *hedge, Delay: *hedgeDelay, P99Multiple: *hedgeP99x},
+		Eject:         fleet.EjectConfig{Enabled: *eject, Multiple: *ejectMultiple},
+		ProbeInterval: *canaryInterval,
+	}
 	if *target != "" {
 		if *workload == "" {
 			fmt.Fprintln(os.Stderr, "meshserve: -target needs -workload (the HTTP driver is part of the open-loop harness)")
@@ -287,7 +288,7 @@ func main() {
 			chaosDowntime: *chaosDowntime,
 			outage:        *outage, outagePlan: outagePlanParsed,
 			outageCompare: *outageCompare, outageMinRecovery: *outageMinRecovery,
-			hedgeCfg: hedgeCfg, ejectCfg: ejectCfg,
+			recovery: recovery,
 		}
 		if err := runWorkload(cfg, f); err != nil {
 			fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
@@ -295,7 +296,7 @@ func main() {
 		}
 		return
 	}
-	fc := fleetConfig(cfg, *replicas, *policy, makeInjector, hedgeCfg, ejectCfg)
+	fc := fleetConfig(cfg, *replicas, *policy, makeInjector, recovery)
 	monkey := fleet.ChaosConfig{Seed: *chaosInstance, KillEvery: *chaosKillEvery, Downtime: *chaosDowntime}
 	if err := runServeFleet(fc, *addr, *drain, monkey); err != nil {
 		fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
@@ -304,26 +305,25 @@ func main() {
 }
 
 // fleetConfig assembles the fleet template from the per-instance serve
-// config: every replica gets its own tracer (a tracer records one mesh) and,
-// under -chaos, its own derived fault injector.
-func fleetConfig(cfg serve.Config, replicas int, policyName string, makeInjector func(i int) mesh.Injector, hedge fleet.HedgeConfig, eject fleet.EjectConfig) fleet.Config {
+// config and the recovery settings (hedging, ejection, probe interval):
+// every replica gets its own tracer (a tracer records one mesh) and, under
+// -chaos, its own derived fault injector.
+func fleetConfig(cfg serve.Config, replicas int, policyName string, makeInjector func(i int) mesh.Injector, recovery fleet.Config) fleet.Config {
 	pol, err := fleet.PolicyByName(policyName)
 	if err != nil {
 		pol = fleet.RoundRobin() // validated in main; sweep passes "all"
 	}
-	return fleet.Config{
-		Replicas:     replicas,
-		Instance:     cfg,
-		Policy:       pol,
-		MakeInjector: makeInjector,
-		MakeTracer:   func(int) *trace.Tracer { return trace.New() },
-		// Unlike tracers and injectors, the observer is deliberately shared:
-		// a failed-over request's trace must accumulate stage marks from
-		// every replica it touched, in one place.
-		Obs:   cfg.Obs,
-		Hedge: hedge,
-		Eject: eject,
-	}
+	fc := recovery
+	fc.Replicas = replicas
+	fc.Instance = cfg
+	fc.Policy = pol
+	fc.MakeInjector = makeInjector
+	fc.MakeTracer = func(int) *trace.Tracer { return trace.New() }
+	// Unlike tracers and injectors, the observer is deliberately shared: a
+	// failed-over request's trace must accumulate stage marks from every
+	// replica it touched, in one place.
+	fc.Obs = cfg.Obs
+	return fc
 }
 
 // runServeFleet is serve mode: the fleet HTTP surface until SIGINT/SIGTERM,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -109,7 +110,9 @@ func parseReplicaRef(s string, replicas int) (int, error) {
 
 func parseFactor(s string) (float64, error) {
 	f, err := strconv.ParseFloat(strings.TrimSuffix(s, "x"), 64)
-	if err != nil || f <= 1 {
+	// NaN fails every comparison, so !(f > 1) rejects it with the factors
+	// ≤ 1; an infinite factor would overflow the injected delay.
+	if err != nil || !(f > 1) || math.IsInf(f, 1) {
 		return 0, fmt.Errorf("bad slowdown factor %q (want e.g. 10x, > 1)", s)
 	}
 	return f, nil

@@ -68,8 +68,7 @@ type workloadFlags struct {
 	outagePlan        outagePlan // parsed plan (already folded into makeInjector)
 	outageCompare     bool
 	outageMinRecovery float64
-	hedgeCfg          fleet.HedgeConfig
-	ejectCfg          fleet.EjectConfig
+	recovery          fleet.Config // Hedge, Eject and ProbeInterval
 }
 
 // wlTarget is what the harness drives: an in-process fleet or a remote
@@ -104,7 +103,7 @@ func newTarget(cfg serve.Config, f workloadFlags, replicas int, policyName strin
 // chaos monkey when -chaos-instance is set (and the fleet is big enough for
 // the monkey to ever fire).
 func newFleetTarget(cfg serve.Config, f workloadFlags, replicas int, policyName string) (*wlTarget, error) {
-	fc := fleetConfig(cfg, replicas, policyName, f.makeInjector, f.hedgeCfg, f.ejectCfg)
+	fc := fleetConfig(cfg, replicas, policyName, f.makeInjector, f.recovery)
 	fl, err := fleet.New(fc)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,8 @@
 // membership ([PVS83] (2,3)-trees, §1), planar point location (Kirkpatrick
 // hierarchies, §5), interval stabbing (§6), line–polyhedron intersection
 // and tangent planes (DK hierarchies, §5 / Theorem 8) — served concurrently
-// by ONE long-lived mesh as typed kinds. Each kind owns its resident
+// by ONE long-lived mesh as typed kinds, through a fleet of one (the
+// serving surface every production path uses). Each kind owns its resident
 // structure; the executor runs one multisearch round per kind-batch and
 // interleaves kinds fairly (DESIGN.md §3.10, experiment E25).
 //
@@ -19,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/serve"
 )
 
@@ -27,18 +29,18 @@ func main() {
 		serve.KindMembership, serve.KindPointLoc, serve.KindInterval,
 		serve.KindLinePoly, serve.KindTangent,
 	}
-	s, err := serve.New(serve.Config{
+	f, err := fleet.New(fleet.Config{Instance: serve.Config{
 		Side:   16,
 		Linger: 500 * time.Microsecond,
 		Kinds:  allKinds[1:], // membership is always served; opt in to the rest
-	})
+	}})
 	if err != nil {
 		panic(err)
 	}
-	defer s.Shutdown(context.Background())
+	defer f.Shutdown(context.Background())
 
-	ss := s.Structures()
-	fmt.Printf("one 16×16 mesh serving %d query kinds:\n", len(s.Kinds()))
+	ss := f.Structures()
+	fmt.Printf("one 16×16 mesh serving %d query kinds:\n", len(f.Kinds()))
 
 	const perKind = 64
 	var wg sync.WaitGroup
@@ -56,10 +58,10 @@ func main() {
 			t := tally{kind: k.String()}
 			for i := int64(0); i < perKind; i++ {
 				args := st.ArgsFor(i)
-				var res serve.Result
+				var res fleet.Result
 				var err error
 				for {
-					res, err = s.LookupKind(context.Background(), k, args)
+					res, err = f.LookupKind(context.Background(), k, args)
 					if !errors.Is(err, serve.ErrOverloaded) {
 						break
 					}
@@ -87,7 +89,7 @@ func main() {
 		fmt.Printf("  %-10s  %d/%d queries answered, %d found, %d descent steps, all oracle-checked ✓\n",
 			t.kind, perKind, perKind, t.found, t.steps)
 	}
-	st := s.Stats()
+	st := f.Stats().Agg
 	fmt.Printf("%d lookups total, %d mesh rounds, 0 wrong answers\n",
 		int64(len(allKinds))*perKind, st.Rounds)
 }

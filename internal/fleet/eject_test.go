@@ -11,14 +11,14 @@ import (
 	"repro/internal/serve"
 )
 
-// inertEject is an Eject config for tests that drive the scoring machinery
-// by hand: the outlier rule is live, but the re-admission prober is parked
-// on an hour-long interval so it cannot interleave with the test's samples.
-func inertEject(minSamples int64) EjectConfig {
-	return EjectConfig{
-		Enabled:       true,
-		Multiple:      4,
-		MinSamples:    minSamples,
+// inertEject is a fleet config for tests that drive the scoring machinery
+// by hand: the outlier rule is live, but the prober is parked on an
+// hour-long interval so it cannot interleave with the test's samples.
+func inertEject(minSamples int64) Config {
+	return Config{
+		Replicas:      3,
+		Instance:      serve.Config{Side: 8, Linger: 100 * time.Microsecond},
+		Eject:         EjectConfig{Enabled: true, Multiple: 4, MinSamples: minSamples},
 		ProbeInterval: time.Hour,
 	}
 }
@@ -30,12 +30,9 @@ func inertEject(minSamples int64) EjectConfig {
 // stats row carries the fleet's "ejected" verdict over the instance's own
 // Healthy self-report, and a manual readmit restores it.
 func TestLatencyOutlierIsEjected(t *testing.T) {
-	f := newTestFleet(t, Config{
-		Replicas: 3,
-		Policy:   LeastLoaded(),
-		Instance: serve.Config{Side: 8, Linger: 100 * time.Microsecond},
-		Eject:    inertEject(4),
-	})
+	cfg := inertEject(4)
+	cfg.Policy = LeastLoaded()
+	f := newTestFleet(t, cfg)
 	for i := 0; i < 6; i++ {
 		f.noteLatency(1, time.Millisecond)
 		f.noteLatency(2, time.Millisecond)
@@ -85,11 +82,7 @@ func TestLatencyOutlierIsEjected(t *testing.T) {
 // ejection never takes the last replica that could serve — a slow answer
 // beats an oracle answer — no matter how damning the replica's score.
 func TestAutoEjectionSparesLastRoutableReplica(t *testing.T) {
-	f := newTestFleet(t, Config{
-		Replicas: 3,
-		Instance: serve.Config{Side: 8, Linger: 100 * time.Microsecond},
-		Eject:    inertEject(2),
-	})
+	f := newTestFleet(t, inertEject(2))
 	// Establish the fast baseline first — a sample fed to an ejected
 	// replica would count toward its re-admission.
 	for i := 0; i < 4; i++ {
@@ -138,11 +131,11 @@ func TestAllEjectedDegradesThenProbesReadmit(t *testing.T) {
 		Replicas: 2,
 		Instance: serve.Config{Side: 8, Linger: 100 * time.Microsecond},
 		Eject: EjectConfig{
-			Enabled:       true,
-			MinSamples:    2,
-			ProbeInterval: probeEvery,
-			ProbeTimeout:  2 * time.Second,
+			Enabled:      true,
+			MinSamples:   2,
+			ProbeTimeout: 2 * time.Second,
 		},
+		ProbeInterval: probeEvery,
 	})
 	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()

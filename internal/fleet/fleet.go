@@ -4,23 +4,26 @@
 // multiply read throughput past one mesh's knee, and they change the robust
 // answer to a mesh fault from *degrade* to *failover*.
 //
-// The recovery ladder gains a rung above the instance-local one of §3.6:
+// The recovery ladder has one rung inside the instance (§3.6) and two
+// above it, here:
 //
 //	retry-local  — the instance re-executes a faulted round with auditing
-//	               forced on (unchanged from PR 5);
+//	               forced on, then surfaces the typed fault (its breaker
+//	               opens on a terminal failure and fails later batches fast
+//	               with serve.ErrCircuitOpen);
 //	failover     — a lookup whose instance faulted, tripped its breaker, or
 //	               crashed outright is re-dispatched to a healthy replica;
 //	oracle       — only when no replica can answer does the fleet fall back
-//	               to its host-side dictionary oracle (Degraded answers).
+//	               to its host-side oracle (Degraded answers).
 //
-// Instances inside a fleet therefore run with serve.Config.DisableOracle:
-// they keep their breaker, health machine and canaries, but surface typed
-// faults instead of answering from the oracle themselves — the fleet owns
-// that last rung. Routing is pluggable (round-robin, least-loaded by
-// admission-queue depth, health-weighted by breaker state); lame-duck and
-// crashed replicas are routed around while their canaries — or a restart —
-// bring them back. Replica crash/restart is chaos-injectable (StartChaos)
-// with measured time-to-healthy.
+// One prober goroutine per fleet brings distrusted replicas back: every
+// ProbeInterval it asks each circuit-open replica for an audited canary
+// round (serve.Instance.Probe) and times a lookup on each latency-ejected
+// one. Routing is pluggable (round-robin, least-loaded by admission-queue
+// depth, health-weighted by breaker state); lame-duck and crashed replicas
+// are routed around while the prober — or a restart — brings them back.
+// Replica crash/restart is chaos-injectable (StartChaos) with measured
+// time-to-healthy.
 package fleet
 
 import (
@@ -67,9 +70,8 @@ type Config struct {
 	// Replicas is the instance count (default 1; at most 64 — the dispatch
 	// loop tracks tried replicas in a word).
 	Replicas int
-	// Instance is the per-instance serve.Config template. DisableOracle is
-	// forced on (the fleet owns the oracle rung); Tracer and Injector are
-	// per-instance concerns — see MakeTracer / MakeInjector.
+	// Instance is the per-instance serve.Config template. Tracer and
+	// Injector are per-instance concerns — see MakeTracer / MakeInjector.
 	Instance serve.Config
 	// Policy picks the replica for each lookup (default round-robin).
 	Policy Policy
@@ -99,6 +101,11 @@ type Config struct {
 	// both default off).
 	Hedge HedgeConfig
 	Eject EjectConfig
+	// ProbeInterval paces the fleet's one prober (default 50ms): each tick
+	// it runs a canary on every circuit-open replica and times a lookup on
+	// every latency-ejected one. It is also the retry hint while recovery
+	// waits on the prober rather than on a queue.
+	ProbeInterval time.Duration
 }
 
 // Result is one answered lookup plus its provenance: which replica served
@@ -160,11 +167,11 @@ type Fleet struct {
 	hedgeWins       atomic.Int64 // hedges whose answer arrived first
 	ejections       atomic.Int64 // latency-outlier ejections (auto + manual)
 	readmissions    atomic.Int64 // ejections cleared (probes or manual)
-	ejectProbes     atomic.Int64 // canary probes sent to ejected replicas
+	ejectProbes     atomic.Int64 // timed probe lookups sent to ejected replicas
 	hedgeDelayNS    atomic.Int64 // cached derived hedge delay
 	hedgeDelayAt    atomic.Int64 // unix ns the cache was filled
 
-	probeStop   chan struct{} // closes to stop the re-admission prober
+	probeStop   chan struct{} // closes to stop the prober
 	probeDone   chan struct{} // closed when the prober has exited
 	probeOnce   sync.Once
 	lastTTH     atomic.Int64 // ns, most recent crash → healthy
@@ -191,6 +198,9 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	cfg.Hedge.setDefaults()
 	cfg.Eject.setDefaults()
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = 50 * time.Millisecond
+	}
 	f := &Fleet{cfg: cfg, policy: cfg.Policy, obs: cfg.Obs}
 	if f.policy == nil {
 		f.policy = RoundRobin()
@@ -220,20 +230,15 @@ func New(cfg Config) (*Fleet, error) {
 	// even across that replica's later crashes.
 	f.ss = f.reps[0].inst.Structures()
 	f.bt = f.ss.Membership()
-	if cfg.Eject.Enabled {
-		f.probeStop = make(chan struct{})
-		f.probeDone = make(chan struct{})
-		go f.probeEjected()
-	}
+	f.probeStop = make(chan struct{})
+	f.probeDone = make(chan struct{})
+	go f.probe()
 	return f, nil
 }
 
 // instanceConfig specializes the template for replica i.
 func (f *Fleet) instanceConfig(i int) serve.Config {
 	cfg := f.cfg.Instance
-	// The oracle rung belongs to the fleet: instances surface typed faults
-	// so a lookup can fail over before any answer degrades.
-	cfg.DisableOracle = true
 	if f.cfg.MakeInjector != nil {
 		cfg.Injector = f.cfg.MakeInjector(i)
 	}
@@ -420,8 +425,6 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 				oc := obs.OutcomeMesh
 				if failedOver || hedgeWon {
 					oc = obs.OutcomeFailover
-				} else if res.Degraded {
-					oc = obs.OutcomeDegraded
 				}
 				f.obs.Finish(tr, oc, nil)
 			}
@@ -615,10 +618,11 @@ const RestartBoundHint = time.Second
 // RetryAfterHint is the fleet's backpressure signal: the minimum retry hint
 // across healthy routable replicas — the soonest any replica could accept
 // work — not whichever instance happened to reject. Degraded replicas are
-// consulted only when no healthy one exists. When every live replica is
-// latency-ejected the hint is one probe interval: re-admission is gated on
-// the prober's next canary, so that is the soonest routing can recover.
-// With no routable replica at all the hint is RestartBoundHint.
+// consulted only when no healthy one exists, and their hint is at least one
+// probe interval: a circuit closes only on the prober's next canary. When
+// every live replica is latency-ejected the hint is one probe interval too,
+// for the same reason. With no routable replica at all the hint is
+// RestartBoundHint.
 func (f *Fleet) RetryAfterHint() time.Duration {
 	best, bestDegraded := time.Duration(-1), time.Duration(-1)
 	anyEjected := false
@@ -647,9 +651,9 @@ func (f *Fleet) RetryAfterHint() time.Duration {
 	case best >= 0:
 		return best
 	case bestDegraded >= 0:
-		return bestDegraded
+		return max(bestDegraded, f.cfg.ProbeInterval)
 	case anyEjected:
-		return f.cfg.Eject.ProbeInterval
+		return f.cfg.ProbeInterval
 	default:
 		return RestartBoundHint
 	}
@@ -663,10 +667,8 @@ func (f *Fleet) Shutdown(ctx context.Context) error {
 	f.closed = true
 	f.mu.Unlock()
 
-	if f.probeStop != nil {
-		f.probeOnce.Do(func() { close(f.probeStop) })
-		<-f.probeDone
-	}
+	f.probeOnce.Do(func() { close(f.probeStop) })
+	<-f.probeDone
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(f.reps))
@@ -695,7 +697,8 @@ func addStats(mu *sync.RWMutex, dst *serve.Stats, src serve.Stats) {
 }
 
 // sumStats adds src's counters into dst, per kind too (latency summaries
-// do not sum; fleet-level latency comes from the fleet's own histograms).
+// do not sum; fleet-level latency comes from the fleet's own histograms;
+// Degraded is the fleet's own oracle count, set by Stats).
 // Replicas share one template, so their per-kind rows align by index. The
 // per-kind rows are rebuilt rather than added in place: dst may be a copy
 // of a replica's lost stats, whose rows must not change under it.
@@ -705,7 +708,6 @@ func sumStats(dst *serve.Stats, src serve.Stats) {
 	for i, ks := range src.Kinds {
 		kinds[i].Kind = ks.Kind
 		kinds[i].Served += ks.Served
-		kinds[i].Degraded += ks.Degraded
 		kinds[i].Rounds += ks.Rounds
 		kinds[i].SimSteps += ks.SimSteps
 	}
@@ -715,6 +717,7 @@ func sumStats(dst *serve.Stats, src serve.Stats) {
 	dst.Served += src.Served
 	dst.Failed += src.Failed
 	dst.Rounds += src.Rounds
+	dst.RoundQueries += src.RoundQueries
 	dst.SimSteps += src.SimSteps
 	if src.PeakBatch > dst.PeakBatch {
 		dst.PeakBatch = src.PeakBatch
@@ -724,8 +727,6 @@ func sumStats(dst *serve.Stats, src serve.Stats) {
 	dst.Retries += src.Retries
 	dst.Recovered += src.Recovered
 	dst.BudgetShed += src.BudgetShed
-	dst.Degraded += src.Degraded
-	dst.DegradedRounds += src.DegradedRounds
 	dst.CircuitOpens += src.CircuitOpens
 	dst.CircuitCloses += src.CircuitCloses
 	dst.CanaryRounds += src.CanaryRounds
@@ -753,9 +754,9 @@ type ReplicaStats struct {
 }
 
 // Stats is a point-in-time snapshot of the fleet. Agg sums every
-// incarnation of every replica (crashed instances included); its Degraded
-// count covers instance-level oracle answers only — fleet-oracle answers
-// are OracleServed, and both flag Result.Degraded to clients. Agg.Kinds
+// incarnation of every replica (crashed instances included); instances
+// have no oracle rung, so Agg.Degraded and Agg.Kinds[].Degraded are the
+// fleet-oracle answers (OracleServed and ByKind[].OracleServed). Agg.Kinds
 // sums the per-kind counters but carries no per-kind latency; the fleet's
 // per-kind latency is ByKind.
 type Stats struct {
@@ -883,13 +884,20 @@ func (f *Fleet) Stats() Stats {
 	}
 	st.Agg.Health = st.Health
 	st.Agg.Latency = st.Latency
-	for _, k := range f.ss.Kinds() {
+	st.Agg.Degraded = st.OracleServed
+	for i, k := range f.ss.Kinds() {
+		oracle := f.kindOracle[k].Load()
 		st.ByKind = append(st.ByKind, KindRouting{
 			Kind:         k.String(),
 			Served:       f.kindServed[k].Load(),
-			OracleServed: f.kindOracle[k].Load(),
+			OracleServed: oracle,
 			Latency:      f.kindLat[k].Snapshot().Summary(),
 		})
+		// sumStats rebuilt Agg.Kinds, so no replica's rows change here. A
+		// replica caught mid-crash may not have filed its rows yet.
+		if i < len(st.Agg.Kinds) {
+			st.Agg.Kinds[i].Degraded = oracle
+		}
 	}
 	return st
 }

@@ -166,8 +166,8 @@ func TestHealthWeightedRoutesAroundDegradedReplica(t *testing.T) {
 		Instance: serve.Config{
 			Side: 8, Audit: true, MaxRetries: -1,
 			Linger: 100 * time.Microsecond, RetryBackoff: 10 * time.Microsecond,
-			CanaryInterval: -1, // keep the broken replica visibly degraded
 		},
+		ProbeInterval: time.Hour, // keep the broken replica visibly degraded
 		MakeInjector: func(i int) mesh.Injector {
 			if i == 0 {
 				return brokenInjector{}

@@ -15,8 +15,8 @@ package fleet
 //	eject  — per-replica: every answered dispatch feeds an EWMA latency
 //	         score; a replica whose score exceeds a configurable multiple
 //	         of the fleet median is ejected — a fourth health state beside
-//	         healthy/degraded/lame-duck — and re-admitted only when
-//	         background canary probes measure it back within bounds.
+//	         healthy/degraded/lame-duck — and re-admitted only when the
+//	         fleet's prober measures it back within bounds.
 //
 // Hedging hides the slow replica from this request; ejection hides it from
 // all subsequent ones. The censored-sample rule ties them together: a
@@ -55,8 +55,8 @@ type HedgeConfig struct {
 
 // EjectConfig configures latency-outlier ejection.
 type EjectConfig struct {
-	// Enabled turns automatic ejection and the re-admission prober on.
-	// Manual EjectReplica/ReadmitReplica work regardless.
+	// Enabled turns automatic ejection and the prober's re-admission
+	// lookups on. Manual EjectReplica/ReadmitReplica work regardless.
 	Enabled bool
 	// Multiple ejects a replica whose EWMA latency score exceeds Multiple
 	// times the fleet median (default 4).
@@ -68,12 +68,10 @@ type EjectConfig struct {
 	// MinSamples is the score sample floor before a replica can be ejected
 	// or counted in the median (default 16).
 	MinSamples int64
-	// ProbeInterval paces the background canary prober that re-measures
-	// ejected replicas (default 100ms). Also the /healthz Retry-After hint
-	// when every replica is ejected.
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe lookup (default 1s). A probe that times
-	// out records the timeout as a censored latency sample.
+	// ProbeTimeout bounds one probe of the fleet's prober (default 1s): a
+	// timed lookup on an ejected replica, or a canary on a circuit-open
+	// one. A lookup probe that times out records the timeout as a
+	// censored latency sample.
 	ProbeTimeout time.Duration
 }
 
@@ -98,9 +96,6 @@ func (c *EjectConfig) setDefaults() {
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 16
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 100 * time.Millisecond
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
@@ -230,14 +225,18 @@ func (f *Fleet) ReadmitReplica(i int) error {
 	return nil
 }
 
-// probeEjected is the re-admission prober: every ProbeInterval it sends one
-// oracle-checked canary lookup to each ejected replica. A correct answer
-// feeds the measured latency into the score — fast probes decay the EWMA
-// until the readmit rule fires; slow probes keep it ejected. Runs for the
-// fleet's lifetime when Eject.Enabled; Shutdown stops it.
-func (f *Fleet) probeEjected() {
+// probe is the fleet's one prober, running for the fleet's lifetime until
+// Shutdown stops it. Every ProbeInterval it visits each live replica:
+//
+//   - circuit open: serve.Instance.Probe runs an audited, oracle-checked
+//     canary round on the replica's executor, and a clean one closes the
+//     circuit (the breaker is the instance's; the schedule is the fleet's);
+//   - latency-ejected (with Eject.Enabled): probeReplica times one
+//     oracle-checked lookup, and fast probes decay the EWMA score until the
+//     readmit rule fires.
+func (f *Fleet) probe() {
 	defer close(f.probeDone)
-	t := time.NewTicker(f.cfg.Eject.ProbeInterval)
+	t := time.NewTicker(f.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -246,38 +245,35 @@ func (f *Fleet) probeEjected() {
 		case <-t.C:
 		}
 		for i, r := range f.reps {
-			if !r.ejected.Load() {
-				continue
-			}
 			inst := f.instance(i)
 			if inst == nil {
 				continue
 			}
-			f.probeReplica(i, inst)
+			if inst.Health() == serve.Degraded {
+				ctx, cancel := context.WithTimeout(context.Background(), f.cfg.Eject.ProbeTimeout)
+				_ = inst.Probe(ctx) // a failed canary leaves the circuit open
+				cancel()
+			}
+			if f.cfg.Eject.Enabled && r.ejected.Load() {
+				f.probeReplica(i, inst)
+			}
 		}
 	}
 }
 
-// probeReplica sends one canary lookup of the first enabled kind to an
-// ejected replica and scores the round trip. Answers are checked against
-// the fleet oracle: a wrong answer records no sample (correctness is the
-// breaker ladder's jurisdiction — ejection only ever reasons about time).
+// probeReplica sends one membership lookup (every replica serves
+// membership) to an ejected replica and scores the round trip. Answers are
+// checked against the fleet oracle: a wrong answer records no sample
+// (correctness is the breaker ladder's jurisdiction — ejection only ever
+// reasons about time).
 func (f *Fleet) probeReplica(i int, inst *serve.Instance) {
-	kinds := f.ss.Kinds()
-	if len(kinds) == 0 {
-		return
-	}
-	st := f.ss.Get(kinds[0])
-	probes := st.Canary()
-	if len(probes) == 0 {
-		return
-	}
-	args := probes[0]
+	st := f.ss.Get(serve.KindMembership)
+	args := st.Canary()[0]
 	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.Eject.ProbeTimeout)
 	defer cancel()
 	f.ejectProbes.Add(1)
 	start := time.Now()
-	res, err := inst.LookupKind(ctx, kinds[0], args)
+	res, err := inst.LookupKind(ctx, serve.KindMembership, args)
 	d := time.Since(start)
 	if err != nil {
 		// Timed out or faulted: the probe ran at least this long — a

@@ -181,14 +181,13 @@ func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		doc["failover_fraction"] = float64(st.FailoverServed) / float64(st.Dispatched)
 		doc["oracle_fraction"] = float64(st.OracleServed) / float64(st.Dispatched)
 	}
-	// Per-round gauges describe the mesh path only. Replicas run without an
-	// oracle rung of their own, so every answer they served rode a mesh
-	// round; fleet-oracle answers consume no round and show up in
-	// degraded_fraction instead of deflating sim_steps_per_round. Counters
-	// loaded at slightly different instants can transiently go negative
-	// under a concurrent snapshot, so in_flight is clamped.
+	// Per-round gauges describe the mesh path only: Rounds counts batches
+	// that reached the mesh and RoundQueries their lookups, so circuit-open
+	// fast-fails and fleet-oracle answers (degraded_fraction) ride no round.
+	// Counters loaded at slightly different instants can transiently go
+	// negative under a concurrent snapshot, so in_flight is clamped.
 	if agg.Rounds > 0 {
-		doc["queries_per_round"] = float64(agg.Served+agg.Failed) / float64(agg.Rounds)
+		doc["queries_per_round"] = float64(agg.RoundQueries) / float64(agg.Rounds)
 		doc["sim_steps_per_round"] = float64(agg.SimSteps) / float64(agg.Rounds)
 	}
 	if answered := st.FirstPickServed + st.FailoverServed + st.OracleServed; answered > 0 {
@@ -226,7 +225,7 @@ func (f *Fleet) promMetrics(w http.ResponseWriter) {
 	pw.Counter("meshfleet_hedge_wins_total", "Hedged dispatches whose answer arrived first.", float64(st.HedgeWins))
 	pw.Counter("meshfleet_ejections_total", "Latency-outlier replica ejections.", float64(st.Ejections))
 	pw.Counter("meshfleet_readmissions_total", "Ejections cleared by probes or operators.", float64(st.Readmissions))
-	pw.Counter("meshfleet_eject_probes_total", "Canary probes sent to ejected replicas.", float64(st.EjectProbes))
+	pw.Counter("meshfleet_eject_probes_total", "Timed probe lookups sent to ejected replicas.", float64(st.EjectProbes))
 	pw.Gauge("meshfleet_ejected_replicas", "Replicas currently latency-ejected.", float64(st.EjectedReplicas))
 
 	pw.Gauge("meshfleet_replicas", "Configured replica count.", float64(st.Replicas))
@@ -282,11 +281,10 @@ func (f *Fleet) promMetrics(w http.ResponseWriter) {
 func (f *Fleet) promServe(pw *obs.PromWriter, agg serve.Stats, views []ReplicaView) {
 	pw.Counter("meshserve_lookups_total", "Lookups by admission outcome.", float64(agg.Accepted), "result", "accepted")
 	pw.Counter("meshserve_lookups_total", "Lookups by admission outcome.", float64(agg.Rejected), "result", "rejected")
-	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(agg.Served-agg.Degraded), "path", "mesh")
+	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(agg.Served), "path", "mesh")
 	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(agg.Degraded), "path", "oracle")
 	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(agg.Failed), "path", "error")
-	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(agg.Rounds-agg.DegradedRounds), "kind", "mesh")
-	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(agg.DegradedRounds), "kind", "degraded")
+	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(agg.Rounds), "kind", "mesh")
 	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(agg.CanaryRounds), "kind", "canary")
 	pw.Counter("meshserve_sim_steps_total", "Simulated mesh steps across all rounds.", float64(agg.SimSteps))
 	pw.Counter("meshserve_retries_total", "Audited re-executions of failed rounds.", float64(agg.Retries))
@@ -326,12 +324,12 @@ func (f *Fleet) promServe(pw *obs.PromWriter, agg serve.Stats, views []ReplicaVi
 	// to one structure instead of "the server got slower".
 	for _, ks := range agg.Kinds {
 		pw.Counter("meshserve_kind_served_total", "Answered lookups by query kind.", float64(ks.Served), "kind", ks.Kind)
-		pw.Counter("meshserve_kind_degraded_total", "Oracle-degraded answers by query kind.", float64(ks.Degraded), "kind", ks.Kind)
+		pw.Counter("meshserve_kind_degraded_total", "Fleet-oracle answers by query kind.", float64(ks.Degraded), "kind", ks.Kind)
 		pw.Counter("meshserve_kind_rounds_total", "Serving rounds by query kind.", float64(ks.Rounds), "kind", ks.Kind)
 		pw.Counter("meshserve_kind_sim_steps_total", "Simulated mesh steps by query kind.", float64(ks.SimSteps), "kind", ks.Kind)
 	}
 	var byKind [serve.NumKinds]obs.HistSnapshot
-	var mAll, mMesh, mDeg obs.HistSnapshot
+	var all obs.HistSnapshot
 	for i := range f.reps {
 		inst := f.instance(i)
 		if inst == nil {
@@ -340,19 +338,12 @@ func (f *Fleet) promServe(pw *obs.PromWriter, agg serve.Stats, views []ReplicaVi
 		for _, k := range f.ss.Kinds() {
 			byKind[k] = byKind[k].Merge(inst.LatencyByKind(k))
 		}
-		mAll = mAll.Merge(inst.LatencySnapshot())
-		im, id := inst.LatencyByOutcome()
-		mMesh = mMesh.Merge(im)
-		mDeg = mDeg.Merge(id)
+		all = all.Merge(inst.LatencySnapshot())
 	}
 	for _, k := range f.ss.Kinds() {
 		pw.Histogram("meshserve_kind_request_duration_seconds", "Answered-lookup latency by query kind, merged across live replicas.", byKind[k], "kind", k.String())
 	}
-	// End-to-end serving latency: combined for continuity, split by outcome
-	// so the oracle fast path cannot pollute the mesh-served p99.
-	pw.Histogram("meshserve_request_duration_seconds", "Per-replica serving latency, merged across live replicas.", mAll, "outcome", "all")
-	pw.Histogram("meshserve_request_duration_seconds", "Per-replica serving latency, merged across live replicas.", mMesh, "outcome", "mesh")
-	pw.Histogram("meshserve_request_duration_seconds", "Per-replica serving latency, merged across live replicas.", mDeg, "outcome", "degraded")
+	pw.Histogram("meshserve_request_duration_seconds", "Per-replica serving latency, merged across live replicas.", all, "outcome", "all")
 }
 
 func boolGauge(b bool) float64 {

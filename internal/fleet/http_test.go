@@ -180,10 +180,10 @@ func TestFleetHealthzFollowsReplicaBreaker(t *testing.T) {
 		Instance: serve.Config{
 			Side: 8, Audit: true,
 			MaxRetries: -1, BreakerWindow: 4,
-			CanaryInterval: 2 * time.Millisecond,
-			RetryBackoff:   10 * time.Microsecond,
+			RetryBackoff: 10 * time.Microsecond,
 		},
-		MakeInjector: func(int) mesh.Injector { return g },
+		ProbeInterval: 2 * time.Millisecond,
+		MakeInjector:  func(int) mesh.Injector { return g },
 	})
 	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()

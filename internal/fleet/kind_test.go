@@ -109,10 +109,9 @@ func TestFleetOracleServesTypedKinds(t *testing.T) {
 		Instance: serve.Config{
 			Side: 8, Linger: 100 * time.Microsecond, Kinds: kinds,
 			Audit: true, MaxRetries: -1, BreakerWindow: 1,
-			// Every replica's breaker must open on its own mesh, so each
-			// needs its own always-lying injector.
-			DisableDegrade: true,
 		},
+		// Every replica's breaker must open on its own mesh, so each needs
+		// its own always-lying injector.
 		MakeInjector: func(int) mesh.Injector { return brokenInjector{} },
 	})
 	st := f.Structures().Get(serve.KindInterval)

@@ -125,19 +125,22 @@ func TestFleetOracleTraceMarksLastRung(t *testing.T) {
 // zero-routable-replicas case:
 //
 //	healthy replicas exist  → min over healthy instance hints
-//	only degraded replicas  → min over degraded instance hints
+//	only degraded replicas  → min over degraded instance hints, each at
+//	                          least one probe interval (a circuit closes
+//	                          only on the prober's next canary)
 //	no routable replica     → RestartBoundHint
 func TestRetryAfterHintNoHealthyReplicas(t *testing.T) {
 	const linger = 2 * time.Millisecond
+	const probeEvery = 20 * time.Millisecond
 	f := newTestFleet(t, Config{
 		Replicas: 2,
 		Instance: serve.Config{
 			Side: 8, Linger: linger, Audit: true, MaxRetries: -1,
 			RetryBackoff: 10 * time.Microsecond,
-			// Manual canaries only: a probe must not close the circuit and
-			// flip the degraded replica back to healthy mid-assertion.
-			CanaryInterval: -1,
 		},
+		// The broken replica's mesh always lies, so no canary can close
+		// its circuit and flip it back to healthy mid-assertion.
+		ProbeInterval: probeEvery,
 		MakeInjector: func(i int) mesh.Injector {
 			if i == 0 {
 				return brokenInjector{}
@@ -153,10 +156,8 @@ func TestRetryAfterHintNoHealthyReplicas(t *testing.T) {
 	}
 
 	// Break replica 0's mesh: one terminal fault opens its circuit, making
-	// it Degraded but still routable. (Fleet replicas run DisableOracle, so
-	// the lookup surfaces the typed fault rather than degrading — either
-	// way the breaker records the terminal failure.) The fleet hint must
-	// keep preferring the healthy replica 1.
+	// it Degraded but still routable (the lookup surfaces the typed fault).
+	// The fleet hint must keep preferring the healthy replica 1.
 	inst0 := f.instance(0)
 	if _, err := inst0.Lookup(context.Background(), 7); err == nil {
 		t.Fatal("broken replica answered; want a typed fault")
@@ -169,11 +170,11 @@ func TestRetryAfterHintNoHealthyReplicas(t *testing.T) {
 	}
 
 	// Crash the healthy replica: only the degraded one remains routable, so
-	// its (canary-dominated) hint is the answer — still not the restart bound.
+	// its probe-bound hint is the answer — still not the restart bound.
 	if err := f.CrashReplica(1); err != nil {
 		t.Fatal(err)
 	}
-	want := inst0.RetryAfterHint()
+	want := max(inst0.RetryAfterHint(), probeEvery)
 	if got := f.RetryAfterHint(); got != want {
 		t.Fatalf("degraded-only hint %s, want replica 0's own %s", got, want)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/fleet"
 	"repro/internal/serve"
 )
 
@@ -244,23 +245,24 @@ func TestSLOPerKindClauses(t *testing.T) {
 }
 
 // TestRunMixedKindsChaosZeroWrong is the end-to-end mixed-workload bar: a
-// three-kind open-loop run against a chaos-injected server, every answer
-// checked against its kind's own host oracle — zero mismatches, zero failed
-// queries, and per-kind aggregates in the report.
+// three-kind open-loop run against a chaos-injected fleet of one (the
+// serving shape meshserve runs), every answer checked against its kind's
+// own host oracle — zero mismatches, zero failed queries, and per-kind
+// aggregates in the report.
 func TestRunMixedKindsChaosZeroWrong(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 42, PSortLie: 0.03, PCorrupt: 0.03, PDrop: 0.03, PDup: 0.03})
-	s, err := serve.New(serve.Config{
+	f, err := fleet.New(fleet.Config{Instance: serve.Config{
 		Side: 8, Linger: 500 * time.Microsecond,
 		Kinds: []serve.Kind{serve.KindPointLoc, serve.KindInterval},
 		Audit: true, Injector: inj,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
-		_ = s.Shutdown(ctx)
+		_ = f.Shutdown(ctx)
 	})
 
 	sched := Schedule{{Rate: 400, Dur: 600 * time.Millisecond}}
@@ -273,14 +275,18 @@ func TestRunMixedKindsChaosZeroWrong(t *testing.T) {
 		t.Fatal(err)
 	}
 	mix, _ := ParseKindMix("membership:0.5,pointloc:0.3,interval:0.2")
-	events, err := GenerateMix(arr, keys, mix, StructureArgs(s.Structures()), 7, 0)
+	events, err := GenerateMix(arr, keys, mix, StructureArgs(f.Structures()), 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Run(Config{
-		LookupKind: s.LookupKind, Stats: s.Stats,
+		LookupKind: func(ctx context.Context, kind serve.Kind, args serve.Args) (serve.Result, error) {
+			res, err := f.LookupKind(ctx, kind, args)
+			return res.Result, err
+		},
+		Stats:  func() serve.Stats { return f.Stats().Agg },
 		Events: events, Window: 200 * time.Millisecond,
-		Check: StructureChecker(s.Structures()),
+		Check: StructureChecker(f.Structures()),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -50,8 +50,7 @@ const (
 	// StageFailover: one fleet-level re-dispatch hop — from a replica's
 	// failure surfacing to the next replica's admission.
 	StageFailover
-	// StageOracle: host-side dictionary fallback (instance degrade rung or
-	// the fleet's last rung).
+	// StageOracle: host-side oracle fallback, the fleet's last rung.
 	StageOracle
 	// StageDeliver: response leaving the serving goroutine → the caller's
 	// Lookup (or the fleet dispatch loop) observing it.
@@ -77,7 +76,6 @@ type Outcome uint8
 
 const (
 	OutcomeMesh     Outcome = iota // answered by a mesh round, first-pick replica
-	OutcomeDegraded                // answered by a host oracle (instance rung)
 	OutcomeFailover                // answered by a non-first replica's mesh round
 	OutcomeOracle                  // answered by the fleet-level oracle rung
 	OutcomeRejected                // refused with ErrOverloaded
@@ -88,7 +86,7 @@ const (
 )
 
 var outcomeNames = [numOutcomes]string{
-	"mesh", "degraded", "failover", "oracle", "rejected", "error", "closed",
+	"mesh", "failover", "oracle", "rejected", "error", "closed",
 }
 
 func (o Outcome) String() string {
@@ -100,7 +98,7 @@ func (o Outcome) String() string {
 
 // answered reports whether the outcome delivered a correct answer.
 func (o Outcome) answered() bool {
-	return o == OutcomeMesh || o == OutcomeDegraded || o == OutcomeFailover || o == OutcomeOracle
+	return o == OutcomeMesh || o == OutcomeFailover || o == OutcomeOracle
 }
 
 // Span is one closed wall-clock stage interval, stored as offsets from the
@@ -213,7 +211,7 @@ type Config struct {
 	// answered requests may be oracle answers (default 0.01).
 	SLOMaxDegraded float64
 	// Logger, when set, receives structured events: one per stage boundary
-	// at Debug, one per interesting (slow/degraded/failovered/errored)
+	// at Debug, one per interesting (oracle/failovered/errored)
 	// trace completion at Info. Nil disables logging entirely.
 	Logger *slog.Logger
 	// Classes are the label values of the request-class dimension — the
@@ -326,8 +324,7 @@ func (o *Observer) Finish(tr *ReqTrace, outcome Outcome, err error) time.Duratio
 		tr.Err = err.Error()
 	}
 	o.outcomes[outcome].Add(1)
-	interesting := outcome == OutcomeDegraded || outcome == OutcomeFailover ||
-		outcome == OutcomeOracle || outcome == OutcomeError
+	interesting := outcome == OutcomeFailover || outcome == OutcomeOracle || outcome == OutcomeError
 	o.ring.offer(tr, interesting)
 	if l := o.cfg.Logger; l != nil && (interesting || l.Enabled(context.Background(), slog.LevelDebug)) {
 		lvl := slog.LevelDebug

@@ -147,7 +147,7 @@ func (w *PromWriter) WriteObserver(prefix string, o *Observer) {
 				o.StageHist(st), "stage", st.String())
 		}
 	}
-	var answered, degradedLike int64
+	var answered, degraded int64
 	for oc := Outcome(0); oc < numOutcomes; oc++ {
 		n := o.OutcomeCount(oc)
 		w.Counter(prefix+"_requests_total",
@@ -156,8 +156,8 @@ func (w *PromWriter) WriteObserver(prefix string, o *Observer) {
 		if oc.answered() {
 			answered += n
 		}
-		if oc == OutcomeDegraded || oc == OutcomeOracle {
-			degradedLike += n
+		if oc == OutcomeOracle {
+			degraded += n
 		}
 	}
 	w.Counter(prefix+"_traces_abandoned_total",
@@ -172,7 +172,7 @@ func (w *PromWriter) WriteObserver(prefix string, o *Observer) {
 		"Configured latency SLO target (at most 1% of answered requests may exceed it).",
 		float64(p99)/1e9)
 	if answered > 0 {
-		frac := float64(degradedLike) / float64(answered)
+		frac := float64(degraded) / float64(answered)
 		w.Gauge(prefix+"_slo_degraded_burn_rate",
 			"Degraded-answer fraction over its SLO budget (>1 = out of budget).",
 			frac/maxDeg)

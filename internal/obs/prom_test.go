@@ -123,7 +123,7 @@ func TestPromWriterFormat(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		oc := OutcomeMesh
 		if i%10 == 0 {
-			oc = OutcomeDegraded
+			oc = OutcomeOracle
 		}
 		mk(o, int64(i), start, oc,
 			[]Stage{StageAdmit, StageQueue, StageMesh},
@@ -145,9 +145,9 @@ func TestPromWriterFormat(t *testing.T) {
 	for _, want := range []string{
 		`meshserve_stage_duration_seconds_bucket{stage="mesh_round",le="+Inf"} 50`,
 		`meshserve_requests_total{outcome="mesh"} 45`,
-		`meshserve_requests_total{outcome="degraded"} 5`,
+		`meshserve_requests_total{outcome="oracle"} 5`,
 		"meshserve_slo_p99_target_seconds 0.05",
-		"meshserve_slo_degraded_burn_rate 10", // 5/50 degraded over a 1% budget
+		"meshserve_slo_degraded_burn_rate 10", // 5/50 oracle answers over a 1% budget
 		"meshserve_slo_latency_burn_rate",
 		"meshserve_traces_abandoned_total 0",
 	} {

@@ -7,9 +7,9 @@ import (
 
 // collector retains completed traces with a tail-biased policy: a bounded
 // ring of the most recent traces (whatever their outcome), a second bounded
-// ring of "interesting" traces (degraded / failovered / oracle-answered /
-// errored — the ones a debugging session is actually after), and the
-// slowest-N traces seen since start. Healthy high-throughput traffic churns
+// ring of "interesting" traces (failovered / oracle-answered / errored —
+// the ones a debugging session is actually after), and the slowest-N
+// traces seen since start. Healthy high-throughput traffic churns
 // only the recent ring; the evidence for an incident survives it.
 type collector struct {
 	mu      sync.Mutex

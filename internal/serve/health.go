@@ -5,9 +5,9 @@ package serve
 //
 //	Healthy   — circuit closed; batches run on the mesh (with the retry
 //	            ladder behind them).
-//	Degraded  — circuit open; batches are answered by the host oracle while
-//	            periodic audited canary rounds probe the mesh, closing the
-//	            circuit on the first success.
+//	Degraded  — circuit open; batches fail fast with ErrCircuitOpen while
+//	            the fleet's prober runs audited canary rounds (Probe),
+//	            closing the circuit on the first success.
 //	LameDuck  — Shutdown has begun; admission is closed and /healthz tells
 //	            load balancers to route elsewhere while the drain finishes.
 //	Ejected   — the fleet's latency-outlier verdict (DESIGN.md §3.11): the

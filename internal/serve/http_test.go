@@ -93,7 +93,7 @@ func TestHandleSearchStatusMapping(t *testing.T) {
 			// Server-side failure (budget overrun with no oracle rung) must
 			// stay a 500: only *client*-caused cancellation moves to 4xx.
 			name:   "round failure",
-			cfg:    fleet.Config{DisableOracle: true, Instance: serve.Config{Budget: 3, DisableDegrade: true}},
+			cfg:    fleet.Config{DisableOracle: true, Instance: serve.Config{Budget: 3}},
 			target: "/search?key=3",
 			want:   http.StatusInternalServerError,
 		},
@@ -135,7 +135,7 @@ func TestHandleSearchStatusMapping(t *testing.T) {
 // describe the mesh path only — not credit oracle answers with mesh rounds
 // — while degraded throughput gets its own gauge.
 func TestMetricsMeshRoundGauges(t *testing.T) {
-	f := newFleetOfOne(t, fleet.Config{Instance: serve.Config{Budget: 3, CanaryInterval: -1}})
+	f := newFleetOfOne(t, fleet.Config{Instance: serve.Config{Budget: 3}, ProbeInterval: time.Hour})
 	for i := int64(0); i < 4; i++ {
 		if _, err := f.Lookup(context.Background(), i); err != nil {
 			t.Fatalf("lookup %d: %v", i, err)
@@ -160,7 +160,7 @@ func TestMetricsMeshRoundGauges(t *testing.T) {
 	// by the mesh), so if queries_per_round is present it must reflect only
 	// failed-round accounting — never the oracle-served queries.
 	agg := st.Agg
-	meshRounds := agg.Rounds - agg.DegradedRounds
+	meshRounds := agg.Rounds
 	if qpr, ok := doc["queries_per_round"]; ok {
 		if meshRounds == 0 {
 			t.Fatalf("queries_per_round %v emitted with zero mesh rounds", qpr)

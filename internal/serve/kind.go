@@ -140,7 +140,8 @@ type Structure interface {
 }
 
 // HostAnswer answers one request sequentially on the host by descending the
-// structure's graph with its own successor — the degrade rung's oracle.
+// structure's graph with its own successor — the fleet oracle rung and the
+// canary's reference.
 // Identical descent, identical Value/Found/Steps as a faithful mesh round;
 // correct, but unaccounted in simulated mesh steps.
 func HostAnswer(st Structure, a Args) Answer {
@@ -256,11 +257,11 @@ func newMembershipStructure(bt *dict.BTree) *membershipStructure {
 	return &membershipStructure{bt: bt, maxPart: bt.InstallSplitter()}
 }
 
-func (s *membershipStructure) Kind() Kind                 { return KindMembership }
-func (s *membershipStructure) Graph() *graph.Graph        { return s.bt.G }
-func (s *membershipStructure) Successor() core.Successor  { return dict.Successor }
-func (s *membershipStructure) PerRequest() int            { return 1 }
-func (s *membershipStructure) ArgsFor(needle int64) Args  { return Args{needle} }
+func (s *membershipStructure) Kind() Kind                { return KindMembership }
+func (s *membershipStructure) Graph() *graph.Graph       { return s.bt.G }
+func (s *membershipStructure) Successor() core.Successor { return dict.Successor }
+func (s *membershipStructure) PerRequest() int           { return 1 }
+func (s *membershipStructure) ArgsFor(needle int64) Args { return Args{needle} }
 
 func (s *membershipStructure) MakeQueries(args []Args) []core.Query {
 	needles := make([]int64, len(args))
@@ -450,10 +451,10 @@ func (s *intervalStructure) Search(v mesh.View, in *core.Instance) {
 func (s *intervalStructure) Canary() []Args {
 	mid := (s.lo + s.hi) / 2
 	return []Args{
-		{s.lo, s.hi},           // everything
-		{s.lo - 10, s.lo - 5},  // below the domain: empty
-		{mid, mid},             // point stab
-		{mid, s.hi},            // upper half
+		{s.lo, s.hi},          // everything
+		{s.lo - 10, s.lo - 5}, // below the domain: empty
+		{mid, mid},            // point stab
+		{mid, s.hi},           // upper half
 	}
 }
 
@@ -544,10 +545,10 @@ func (s *linepolyStructure) Canary() []Args {
 	}
 	cx, cy = cx/int64(len(h)), cy/int64(len(h))
 	return []Args{
-		{h[0].X, h[0].Y},                      // hull vertex: hit
-		{cx, cy},                              // centroid: hit
-		{s.maxX + (s.maxX - s.minX), cy},      // far outside: miss
-		{s.minX - (s.maxX - s.minX), s.minY},  // far outside: miss
+		{h[0].X, h[0].Y},                     // hull vertex: hit
+		{cx, cy},                             // centroid: hit
+		{s.maxX + (s.maxX - s.minX), cy},     // far outside: miss
+		{s.minX - (s.maxX - s.minX), s.minY}, // far outside: miss
 	}
 }
 

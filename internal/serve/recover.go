@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -12,19 +13,21 @@ import (
 // This file is the recovery ladder around the round executor (DESIGN.md
 // §3.6). Everything here runs on the executor goroutine — the only
 // goroutine that touches the mesh — so audit toggling, per-kind budget
-// switching, breaker bookkeeping and canary scheduling need no locks; the
-// rest of the server observes the outcome through the atomic counters and
-// the circuitOpen/lameduck flags.
+// switching, breaker bookkeeping and canary rounds need no locks; the rest
+// of the server observes the outcome through the atomic counters and the
+// circuitOpen/lameduck flags.
 
-// serveBatch answers one batch of one kind. Circuit open: probe the mesh
-// with a canary if one is due, then either serve normally (canary closed
-// the circuit) or answer from the kind's host oracle. Circuit closed: run
-// the retry ladder — attempt the round, classify any fault, re-execute with
-// auditing forced on under jittered backoff, and degrade to the oracle when
-// the mesh keeps failing.
+// errCanaryMismatch is the fault a canary reports when a round completed
+// but an answer disagrees with the host oracle — corruption the audit did
+// not catch.
+var errCanaryMismatch = errors.New("serve: canary answer disagrees with the host oracle")
+
+// serveBatch answers one batch of one kind. Circuit open: fail the batch
+// fast with ErrCircuitOpen — no mesh work, no round counted. Circuit
+// closed: run the retry ladder — attempt the round, classify any fault,
+// re-execute with auditing forced on under jittered backoff, and deliver
+// the typed fault when the mesh keeps failing.
 func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
-	round := s.rounds.Add(1)
-	kr.rounds.Add(1)
 	s.lastBatch.Store(int64(len(batch)))
 	if int64(len(batch)) > s.peakBatch.Load() {
 		s.peakBatch.Store(int64(len(batch)))
@@ -34,20 +37,10 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 	s.markBatch(batch, obs.StageLinger)
 
 	if s.circuitOpen.Load() {
-		if s.canaryDue() {
-			s.runCanary()
-		}
-		if s.circuitOpen.Load() {
-			if s.cfg.DisableOracle {
-				// No oracle rung on this instance: fail fast with the
-				// typed circuit error so the fleet can re-dispatch the
-				// lookup to a replica whose mesh is still trusted.
-				s.failBatch(batch, ErrCircuitOpen)
-				return
-			}
-			s.degradeBatch(kr, batch, round)
-			return
-		}
+		// The mesh is distrusted: the fleet re-dispatches these lookups to
+		// a replica whose mesh is still trusted, or answers from its oracle.
+		s.failBatch(batch, ErrCircuitOpen)
+		return
 	}
 
 	args := make([]Args, len(batch))
@@ -55,6 +48,7 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 		args[i] = r.args
 	}
 	queries := kr.st.MakeQueries(args)
+	var round int64
 	var lastErr error
 	for attempt := 0; attempt <= s.maxRetries; attempt++ {
 		if attempt > 0 {
@@ -79,6 +73,14 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 			s.budgetShed.Add(int64(len(batch)))
 			s.failBatch(batch, ErrBudgetExhausted)
 			return
+		}
+		if attempt == 0 {
+			// A round is a batch that reaches the mesh: counted here, past
+			// the circuit check and the first budget check, so the per-round
+			// gauges describe only batches that ran.
+			round = s.rounds.Add(1)
+			kr.rounds.Add(1)
+			s.roundQueries.Add(int64(len(batch)))
 		}
 		tag := ""
 		if attempt > 0 {
@@ -126,18 +128,11 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 			break
 		}
 	}
+	// The breaker records the terminal failure and opens the circuit; the
+	// typed fault surfaces for the fleet to fail over.
 	s.m.SetAudit(s.cfg.Audit)
 	s.observeRound(true, true)
-	if s.cfg.DisableDegrade || s.cfg.DisableOracle {
-		// DisableDegrade: the whole ladder is off — deliver the typed
-		// fault (observeRound was a no-op). DisableOracle: the breaker has
-		// recorded the terminal failure and opened the circuit, but the
-		// oracle rung lives above this instance, so the fault surfaces for
-		// the fleet to fail over.
-		s.failBatch(batch, lastErr)
-		return
-	}
-	s.degradeBatch(kr, batch, round)
+	s.failBatch(batch, lastErr)
 }
 
 // batchDoomed reports whether every request of the batch carries a deadline
@@ -221,47 +216,12 @@ func (s *Instance) markBatch(batch []request, stage obs.Stage) {
 	}
 }
 
-// degradeBatch answers every query of the batch from the kind's host-side
-// oracle descent: correct (same answer, same search-path length a faithful
-// round would report) but unaccounted in mesh steps, and flagged Degraded.
-func (s *Instance) degradeBatch(kr *kindRuntime, batch []request, round int64) {
-	// Counted before the sends, like the mesh path.
-	s.degraded.Add(int64(len(batch)))
-	kr.degraded.Add(int64(len(batch)))
-	s.degradedRounds.Add(1)
-	s.served.Add(int64(len(batch)))
-	kr.served.Add(int64(len(batch)))
-	for _, r := range batch {
-		ans := HostAnswer(kr.st, r.args)
-		if r.tr != nil {
-			// Per-request, before the resp send (which hands the trace back
-			// to the Lookup goroutine): the oracle span covers this
-			// request's share of the host-side sweep.
-			r.tr.Mark(obs.StageOracle)
-		}
-		r.resp <- response{res: Result{
-			Kind:     kr.kind,
-			Needle:   r.args[0],
-			Found:    ans.Found,
-			LeafKey:  ans.Value,
-			Value:    ans.Value,
-			Aux:      ans.Aux,
-			Steps:    ans.Steps,
-			Round:    round,
-			Degraded: true,
-		}}
-	}
-}
-
 // observeRound feeds the circuit breaker with one mesh-path outcome.
 // firstAttemptFailed is the breaker's signal (it measures mesh fault rate,
 // not user-visible failures — a recovered round still counts against the
 // window); terminal means the whole ladder failed, which opens the circuit
 // immediately rather than waiting for the window to fill.
 func (s *Instance) observeRound(firstAttemptFailed, terminal bool) {
-	if s.cfg.DisableDegrade {
-		return
-	}
 	open := s.brk.record(firstAttemptFailed)
 	if terminal || open {
 		s.openCircuit()
@@ -273,7 +233,6 @@ func (s *Instance) openCircuit() {
 	if s.circuitOpen.CompareAndSwap(false, true) {
 		s.circuitOpens.Add(1)
 		s.brk.reset()
-		s.lastCanary = time.Time{} // first canary is immediately due
 	}
 }
 
@@ -285,29 +244,18 @@ func (s *Instance) closeCircuit() {
 	}
 }
 
-// canaryDue reports whether an open circuit should probe the mesh now.
-// A non-positive CanaryInterval disables probing (tests drive recovery by
-// hand); lastCanary is executor-owned.
-func (s *Instance) canaryDue() bool {
-	if s.canaryEvery <= 0 {
-		return false
-	}
-	return time.Since(s.lastCanary) >= s.canaryEvery
-}
-
 // runCanary probes the mesh with one audited round per enabled kind over
 // each kind's small synthetic probe set, and closes the circuit only when
 // every round completes and every answer agrees with the kind's host
-// oracle. Canary answers go nowhere — the probe exists only to decide
-// whether real traffic can trust the mesh again, and a mesh distrusted for
-// one kind is distrusted for all (the fault classes are mesh-level, not
-// structure-level).
-func (s *Instance) runCanary() {
-	s.lastCanary = time.Now()
+// oracle; otherwise it returns the first fault. Canary answers go nowhere —
+// the probe exists only to decide whether real traffic can trust the mesh
+// again, and a mesh distrusted for one kind is distrusted for all (the
+// fault classes are mesh-level, not structure-level). Called only while the
+// circuit is open, so every canary either fails or closes the circuit.
+func (s *Instance) runCanary() error {
 	s.canaryRounds.Add(1)
 	s.m.SetAudit(true)
-	ok := true
-	var firstErr error
+	defer s.m.SetAudit(s.cfg.Audit)
 	for _, kind := range s.kinds {
 		kr := s.kr[kind]
 		probes := kr.st.Canary()
@@ -317,31 +265,19 @@ func (s *Instance) runCanary() {
 		queries := kr.st.MakeQueries(probes)
 		results, _, err := s.meshRound(kr, fmt.Sprintf("canary %s %d", kind, s.canaryRounds.Load()), "canary", queries)
 		if err != nil {
-			ok = false
-			if firstErr == nil {
-				firstErr = err
-			}
-			break
+			s.canaryFailures.Add(1)
+			s.faults[core.Classify(err)].Add(1)
+			return err
 		}
 		for i, probe := range probes {
 			got := kr.st.Extract(results, i)
 			want := HostAnswer(kr.st, probe)
 			if got.Found != want.Found || got.Value != want.Value {
-				ok = false // silent corruption the audit did not catch
-				break
+				s.canaryFailures.Add(1) // silent corruption the audit did not catch
+				return errCanaryMismatch
 			}
 		}
-		if !ok {
-			break
-		}
 	}
-	s.m.SetAudit(s.cfg.Audit)
-	if ok {
-		s.closeCircuit()
-		return
-	}
-	s.canaryFailures.Add(1)
-	if firstErr != nil {
-		s.faults[core.Classify(firstErr)].Add(1)
-	}
+	s.closeCircuit()
+	return nil
 }

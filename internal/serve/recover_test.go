@@ -13,20 +13,20 @@ import (
 	"repro/internal/mesh"
 )
 
-// gateInjector injects a lying comparator into every sort while broken —
+// GateInjector injects a lying comparator into every sort while Broken —
 // a switchable mesh failure for driving the circuit breaker through its
-// transitions.
-type gateInjector struct{ broken atomic.Bool }
+// transitions. Exported (test builds only) for the serve_test package.
+type GateInjector struct{ Broken atomic.Bool }
 
-func (g *gateInjector) SortLie(_ string, items int) int64 {
-	if g.broken.Load() && items >= 2 {
+func (g *GateInjector) SortLie(_ string, items int) int64 {
+	if g.Broken.Load() && items >= 2 {
 		return 1
 	}
 	return 0
 }
-func (g *gateInjector) CorruptCell(string, int) (int, int, bool) { return 0, 0, false }
-func (g *gateInjector) DropReply(int) (int, bool)                { return 0, false }
-func (g *gateInjector) DuplicateReply(int) (int, int, bool)      { return 0, 0, false }
+func (g *GateInjector) CorruptCell(string, int) (int, int, bool) { return 0, 0, false }
+func (g *GateInjector) DropReply(int) (int, bool)                { return 0, false }
+func (g *GateInjector) DuplicateReply(int) (int, int, bool)      { return 0, 0, false }
 
 // panicInjector panics at its n-th consultation (counting every seam),
 // modelling a simulator bug surfacing mid-operation. It only counts once
@@ -64,10 +64,10 @@ func (p *panicInjector) DuplicateReply(int) (int, int, bool) {
 
 // TestTypedFaultsCrossRetryBoundary proves errors.As through serve.Lookup
 // results still reaches the typed mesh faults once the retry ladder sits in
-// between (DisableDegrade keeps the terminal error user-visible).
+// between (the ladder ends in the typed fault).
 func TestTypedFaultsCrossRetryBoundary(t *testing.T) {
 	t.Run("budget", func(t *testing.T) {
-		s := newTestServer(t, Config{Side: 8, Budget: 3, DisableDegrade: true})
+		s := newTestServer(t, Config{Side: 8, Budget: 3})
 		_, err := s.Lookup(context.Background(), 1)
 		var be *mesh.BudgetExceededError
 		if !errors.As(err, &be) {
@@ -83,10 +83,10 @@ func TestTypedFaultsCrossRetryBoundary(t *testing.T) {
 	})
 
 	t.Run("audit", func(t *testing.T) {
-		g := &gateInjector{}
-		g.broken.Store(true) // every sort lies, every attempt trips the audit
+		g := &GateInjector{}
+		g.Broken.Store(true) // every sort lies, every attempt trips the audit
 		s := newTestServer(t, Config{
-			Side: 8, Audit: true, Injector: g, DisableDegrade: true,
+			Side: 8, Audit: true, Injector: g,
 			MaxRetries: 1, RetryBackoff: 10 * time.Microsecond,
 		})
 		_, err := s.Lookup(context.Background(), 1)
@@ -114,8 +114,7 @@ func TestTypedFaultsCrossRetryBoundary(t *testing.T) {
 		for _, at := range []int{0, 2, 4, 8, 16, 32, 64, 128} {
 			inj := &panicInjector{at: at}
 			s := newTestServer(t, Config{
-				Side: 8, Injector: inj,
-				DisableDegrade: true, MaxRetries: -1, Parallelism: 1,
+				Side: 8, Injector: inj, MaxRetries: -1, Parallelism: 1,
 			})
 			inj.armed.Store(true)
 			_, err := s.Lookup(context.Background(), 1)
@@ -175,7 +174,7 @@ func TestChaosSortFaultRetriedAndRecovered(t *testing.T) {
 					errs <- err
 					return
 				}
-				if res.Found != s.Tree().Contains(needle) {
+				if res.Found != s.Structures().Membership().Contains(needle) {
 					errs <- errors.New("wrong membership answer under chaos")
 					return
 				}
@@ -203,128 +202,15 @@ func TestChaosSortFaultRetriedAndRecovered(t *testing.T) {
 	if st.Served != clients*perClient {
 		t.Fatalf("served %d, want %d", st.Served, clients*perClient)
 	}
-	t.Logf("injected %d faults → %d retries, %d recovered rounds, %d degraded answers",
-		inj.Count(), st.Retries, st.Recovered, st.Degraded)
-}
-
-// TestBudgetOverrunDegradesToOracle is the graceful-degradation contract: a
-// deterministic fault (per-round budget too small for any round) is never
-// user-visible — the batch is answered by the host oracle, flagged
-// degraded, and the circuit opens.
-func TestBudgetOverrunDegradesToOracle(t *testing.T) {
-	s := newTestServer(t, Config{Side: 8, Budget: 3, CanaryInterval: -1})
-	res, err := s.Lookup(context.Background(), 3)
-	if err != nil {
-		t.Fatalf("lookup under recovery returned error %v; want degraded answer", err)
-	}
-	if !res.Degraded {
-		t.Fatalf("result not flagged degraded: %+v", res)
-	}
-	if want := s.Tree().Contains(3); res.Found != want {
-		t.Fatalf("degraded answer wrong: found=%v want %v", res.Found, want)
-	}
-	leaf, _, path := s.Tree().HostLookup(3)
-	if res.LeafKey != leaf || res.Steps != path {
-		t.Fatalf("degraded answer provenance wrong: %+v (want leaf %d, path %d)", res, leaf, path)
-	}
-	if s.Health() != Degraded {
-		t.Fatalf("terminal round failure left health %v, want %v", s.Health(), Degraded)
-	}
-	// The open circuit routes the next batch straight to the oracle: no
-	// mesh round, still a correct degraded answer.
-	res2, err := s.Lookup(context.Background(), 4)
-	if err != nil || !res2.Degraded || res2.Found != s.Tree().Contains(4) {
-		t.Fatalf("open-circuit lookup: res=%+v err=%v", res2, err)
-	}
-	st := s.Stats()
-	if st.Failed != 0 || st.Degraded < 2 || st.DegradedRounds < 2 {
-		t.Fatalf("degraded accounting wrong: %+v", st)
-	}
-	if st.FaultsBudget == 0 || st.CircuitOpens != 1 {
-		t.Fatalf("breaker accounting wrong: %+v", st)
-	}
-	if st.Health != "degraded" {
-		t.Fatalf("stats health %q, want degraded", st.Health)
-	}
-}
-
-// TestCircuitBreakerOpensAndCanaryCloses drives the full health cycle:
-// healthy → (mesh breaks) degraded with oracle answers → (mesh heals) a
-// periodic audited canary closes the circuit → healthy mesh serving again,
-// with the retry hint stretching to the canary interval while the circuit
-// is open. (The /healthz side of the cycle is pinned on a fleet of one by
-// fleet's TestFleetHealthzFollowsReplicaBreaker.)
-func TestCircuitBreakerOpensAndCanaryCloses(t *testing.T) {
-	g := &gateInjector{}
-	s := newTestServer(t, Config{
-		Side: 8, Audit: true, Injector: g,
-		MaxRetries: -1, BreakerWindow: 4,
-		CanaryInterval: 2 * time.Millisecond,
-		RetryBackoff:   10 * time.Microsecond,
-	})
-
-	// Phase 1: healthy mesh serving.
-	res, err := s.Lookup(context.Background(), 3)
-	if err != nil || res.Degraded {
-		t.Fatalf("healthy lookup: res=%+v err=%v", res, err)
-	}
-	if s.Health() != Healthy {
-		t.Fatalf("health %v while the mesh works, want %v", s.Health(), Healthy)
-	}
-	if hint := s.RetryAfterHint(); hint <= 0 || hint >= 2*time.Millisecond {
-		t.Fatalf("healthy retry hint %v, want one fill window (below the 2ms canary interval)", hint)
-	}
-
-	// Phase 2: break the mesh. The next round fails terminally (no
-	// retries), the circuit opens, and the batch degrades to the oracle.
-	g.broken.Store(true)
-	res, err = s.Lookup(context.Background(), 5)
-	if err != nil || !res.Degraded || res.Found != s.Tree().Contains(5) {
-		t.Fatalf("broken-mesh lookup: res=%+v err=%v", res, err)
-	}
-	if s.Health() != Degraded {
-		t.Fatalf("health %v after terminal failure, want %v", s.Health(), Degraded)
-	}
-	if hint := s.RetryAfterHint(); hint < 2*time.Millisecond {
-		t.Fatalf("open-circuit retry hint %v, want at least the 2ms canary interval", hint)
-	}
-	// Let at least one canary probe the still-broken mesh and fail.
-	time.Sleep(10 * time.Millisecond)
-	if _, err := s.Lookup(context.Background(), 7); err != nil {
-		t.Fatal(err)
-	}
-
-	// Phase 3: heal the mesh; a canary must close the circuit without any
-	// help from traffic.
-	g.broken.Store(false)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Health() != Healthy {
-		if time.Now().After(deadline) {
-			t.Fatalf("circuit never closed: %+v", s.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	res, err = s.Lookup(context.Background(), 3)
-	if err != nil || res.Degraded {
-		t.Fatalf("post-recovery lookup not mesh-served: res=%+v err=%v", res, err)
-	}
-	st := s.Stats()
-	if st.CircuitOpens == 0 || st.CircuitCloses == 0 {
-		t.Fatalf("missing circuit transitions: %+v", st)
-	}
-	if st.CanaryRounds == 0 || st.CanaryFails == 0 {
-		t.Fatalf("canary accounting wrong (want ≥1 probe and ≥1 failed probe): %+v", st)
-	}
-	if st.Failed != 0 {
-		t.Fatalf("user-visible failures across the whole cycle: %+v", st)
-	}
+	t.Logf("injected %d faults → %d retries, %d recovered rounds",
+		inj.Count(), st.Retries, st.Recovered)
 }
 
 // TestShutdownEntersLameDuck pins the terminal health state: once Shutdown
 // begins the instance reports lame-duck, still with a positive retry hint
-// for the Retry-After that tells clients when to come back. (The /healthz
-// side — 503, lame-duck, Retry-After — is pinned on a fleet by fleet's
-// TestFleetHTTPAfterShutdown.)
+// for the Retry-After that tells clients when to come back, and Probe
+// returns ErrClosed at once. (The /healthz side — 503, lame-duck,
+// Retry-After — is pinned on a fleet by fleet's TestFleetHTTPAfterShutdown.)
 func TestShutdownEntersLameDuck(t *testing.T) {
 	s, err := New(Config{Side: 8})
 	if err != nil {
@@ -343,5 +229,8 @@ func TestShutdownEntersLameDuck(t *testing.T) {
 	}
 	if s.RetryAfterHint() <= 0 {
 		t.Fatalf("lame-duck retry hint %v, want positive", s.RetryAfterHint())
+	}
+	if err := s.Probe(ctx); !errors.Is(err, ErrClosed) {
+		t.Fatalf("probe after shutdown returned %v, want ErrClosed", err)
 	}
 }

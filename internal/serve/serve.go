@@ -20,14 +20,14 @@
 // run (via the run-control context seam) if the caller's drain deadline
 // expires.
 //
-// Round failures are not user-visible (DESIGN.md §3.6): a faulted round is
+// A faulted round climbs a short recovery ladder (DESIGN.md §3.6): it is
 // classified (core.Classify), re-executed with auditing forced on under
-// jittered backoff, and — if the mesh keeps failing — the batch is answered
-// by the kind's host-side oracle descent, flagged Degraded. A sliding-window
-// circuit breaker drives a health state machine (healthy → degraded →
-// lame-duck) exposed on /healthz; an open circuit routes batches straight
-// to the oracle while periodic audited canary rounds probe the mesh across
-// every enabled kind and close the circuit on success.
+// jittered backoff, and — if the mesh keeps failing — its batch receives
+// the typed fault. A sliding-window circuit breaker drives a health state
+// machine (healthy → degraded → lame-duck); an open circuit fails batches
+// fast with ErrCircuitOpen until an audited canary round (Probe) closes it.
+// The rungs above — failover to another replica, the host oracle, and the
+// prober that calls Probe — belong to internal/fleet (§3.8).
 package serve
 
 import (
@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dict"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -54,9 +53,9 @@ var ErrOverloaded = errors.New("serve: admission queue full")
 // ErrClosed is returned by Lookup once Shutdown has begun.
 var ErrClosed = errors.New("serve: server closed")
 
-// ErrCircuitOpen is returned (only with DisableOracle) for lookups arriving
-// while the circuit is open: the mesh path is distrusted and this instance
-// has no oracle rung of its own. The fleet layer treats it as a failover
+// ErrCircuitOpen is returned for lookups whose batch reaches the executor
+// while the circuit is open: the mesh path is distrusted, so the batch
+// neither runs nor counts a round. The fleet layer treats it as a failover
 // trigger — re-dispatch to a healthy replica, then the fleet-level oracle.
 var ErrCircuitOpen = errors.New("serve: circuit open, mesh path unavailable")
 
@@ -119,15 +118,15 @@ type Config struct {
 
 	// Audit enables audit mode on every round, not only on retries. Under
 	// fault injection this is what guarantees zero wrong answers: a fault
-	// trips the audit and the round is retried or degraded instead of
+	// trips the audit and the round is retried or fails typed instead of
 	// silently corrupting results.
 	Audit bool
 	// Injector installs a fault injector on the serving mesh (chaos
 	// testing; see internal/faults). Nil disables injection.
 	Injector mesh.Injector
 	// MaxRetries is how many audited re-executions a failed round gets
-	// before its batch falls back to the host oracle. 0 defaults to 3;
-	// negative means no retries.
+	// before its batch receives the typed fault. 0 defaults to 3; negative
+	// means no retries.
 	MaxRetries int
 	// RetryBackoff is the base of the jittered exponential backoff slept
 	// between attempts (0 defaults to Backoff's 200µs base).
@@ -137,29 +136,12 @@ type Config struct {
 	// drawing from the process-global rand, two identical chaos runs sleep
 	// differently between retries. 0 keeps the global source (the default).
 	BackoffSeed int64
-	// DisableDegrade turns off the oracle fallback and the circuit breaker:
-	// a round that exhausts its retries delivers the typed fault to every
-	// query of the batch (the pre-recovery behaviour). Diagnostics and
-	// tests; production serving wants the default.
-	DisableDegrade bool
-	// DisableOracle keeps the whole recovery ladder — retries, breaker,
-	// health machine, canaries — but removes only the final oracle rung:
-	// an exhausted batch delivers its typed fault, and a circuit-open
-	// instance fails lookups fast with ErrCircuitOpen instead of answering
-	// from the host oracle. This is how an instance runs inside a fleet,
-	// where the ladder continues above it (failover to a healthy replica
-	// before the fleet-level oracle); standalone serving wants the default.
-	DisableOracle bool
 	// BreakerWindow is the number of recent mesh rounds in the circuit
 	// breaker's sliding window (0 defaults to 16).
 	BreakerWindow int
 	// BreakerThreshold is the windowed first-attempt failure rate at or
 	// above which the circuit opens (0 defaults to 0.5; clamped to (0,1]).
 	BreakerThreshold float64
-	// CanaryInterval is how often an open circuit probes the mesh with an
-	// audited, oracle-checked canary round (0 defaults to 50ms; negative
-	// disables canaries — the circuit then only closes by hand, for tests).
-	CanaryInterval time.Duration
 
 	// Obs installs the wall-clock observability layer (DESIGN.md §3.9):
 	// every Lookup gets a per-stage traced ReqTrace, stage histograms feed
@@ -186,12 +168,14 @@ type Result struct {
 	Aux   int64 `json:"aux,omitempty"`
 	Steps int32 `json:"steps"` // search-path length of this query
 	Round int64 `json:"round"` // serving round that answered it
-	// Degraded marks an answer produced by the host-side oracle instead of
-	// a mesh round: correct, but unaccounted in simulated mesh steps.
+	// Degraded marks an answer produced by the fleet's host-side oracle
+	// rung instead of a mesh round: correct, but unaccounted in simulated
+	// mesh steps. An instance never sets it.
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// KindStats is the per-kind slice of the serving counters.
+// KindStats is the per-kind slice of the serving counters. Degraded, like
+// Stats.Degraded, is filled in only by the fleet aggregate.
 type KindStats struct {
 	Kind     string             `json:"kind"`
 	Served   int64              `json:"served"`
@@ -202,18 +186,20 @@ type KindStats struct {
 }
 
 // Stats is a point-in-time snapshot of the serving counters. Served counts
-// every successfully answered lookup, mesh-served and degraded alike;
-// Degraded is the oracle-answered subset.
+// the lookups a mesh round answered. Degraded counts host-oracle answers:
+// an instance has no oracle rung, so it reads 0 here, and the fleet fills
+// it in its aggregate (fleet.Stats.Agg) with its own oracle-rung count.
 type Stats struct {
-	Accepted   int64 `json:"accepted"`    // lookups admitted to the queue
-	Rejected   int64 `json:"rejected"`    // lookups refused with ErrOverloaded
-	Served     int64 `json:"served"`      // lookups answered successfully
-	Failed     int64 `json:"failed"`      // lookups answered with a round error
-	Rounds     int64 `json:"rounds"`      // serving rounds (batches) processed
-	SimSteps   int64 `json:"sim_steps"`   // simulated mesh steps across all rounds
-	LastBatch  int64 `json:"last_batch"`  // size of the most recent batch
-	PeakBatch  int64 `json:"peak_batch"`  // largest batch so far
-	StepBudget int64 `json:"step_budget"` // configured per-round budget (0 = unlimited)
+	Accepted     int64 `json:"accepted"`      // lookups admitted to the queue
+	Rejected     int64 `json:"rejected"`      // lookups refused with ErrOverloaded
+	Served       int64 `json:"served"`        // lookups answered by a mesh round
+	Failed       int64 `json:"failed"`        // lookups answered with an error
+	Rounds       int64 `json:"rounds"`        // batches that ran at least one mesh attempt
+	RoundQueries int64 `json:"round_queries"` // lookups in those batches
+	SimSteps     int64 `json:"sim_steps"`     // simulated mesh steps across all rounds
+	LastBatch    int64 `json:"last_batch"`    // size of the most recent batch
+	PeakBatch    int64 `json:"peak_batch"`    // largest batch so far
+	StepBudget   int64 `json:"step_budget"`   // configured per-round budget (0 = unlimited)
 
 	// BudgetShed counts lookups refused (at admission) or failed (in the
 	// retry ladder) with ErrBudgetExhausted: doomed work shed before a mesh
@@ -221,15 +207,14 @@ type Stats struct {
 	BudgetShed int64 `json:"budget_shed"`
 
 	// Recovery accounting (DESIGN.md §3.6).
-	Retries        int64  `json:"retries"`         // audited re-executions of failed rounds
-	Recovered      int64  `json:"recovered"`       // rounds that failed, then succeeded on a retry
-	Degraded       int64  `json:"degraded"`        // lookups answered by the host oracle
-	DegradedRounds int64  `json:"degraded_rounds"` // batches that fell back to the oracle
-	CircuitOpens   int64  `json:"circuit_opens"`   // healthy → degraded transitions
-	CircuitCloses  int64  `json:"circuit_closes"`  // degraded → healthy transitions
-	CanaryRounds   int64  `json:"canary_rounds"`   // audited canary probes executed
-	CanaryFails    int64  `json:"canary_fails"`    // canary probes that failed
-	FaultsAudit    int64  `json:"faults_audit"`    // round attempts failed by fault class
+	Retries        int64  `json:"retries"`        // audited re-executions of failed rounds
+	Recovered      int64  `json:"recovered"`      // rounds that failed, then succeeded on a retry
+	Degraded       int64  `json:"degraded"`       // lookups answered by the host oracle (fleet aggregate only)
+	CircuitOpens   int64  `json:"circuit_opens"`  // healthy → degraded transitions
+	CircuitCloses  int64  `json:"circuit_closes"` // degraded → healthy transitions
+	CanaryRounds   int64  `json:"canary_rounds"`  // audited canary probes executed
+	CanaryFails    int64  `json:"canary_fails"`   // canary probes that failed
+	FaultsAudit    int64  `json:"faults_audit"`   // round attempts failed by fault class
 	FaultsBudget   int64  `json:"faults_budget"`
 	FaultsCanceled int64  `json:"faults_canceled"`
 	FaultsPanic    int64  `json:"faults_panic"`
@@ -237,18 +222,12 @@ type Stats struct {
 	Health         string `json:"health"` // healthy | degraded | lame-duck
 
 	// Latency summarizes the answered-lookup latency histogram (admission to
-	// response, mesh-served and degraded alike) so /metrics exposes serving
-	// percentiles without any per-query allocation on the hot path.
+	// response) so /metrics exposes serving percentiles without any
+	// per-query allocation on the hot path.
 	Latency obs.LatencySummary `json:"latency"`
-	// LatencyMesh / LatencyDegraded split the answered-lookup latency by
-	// outcome, so the oracle fast path (no simulated round) cannot pollute
-	// the mesh-served p99 or vice versa. Latency stays as the combined view
-	// for continuity with PR 6 dashboards.
-	LatencyMesh     obs.LatencySummary `json:"latency_mesh"`
-	LatencyDegraded obs.LatencySummary `json:"latency_degraded"`
 
-	// Kinds splits the served/degraded/round counters and latency by query
-	// kind, in enabled-kind order (DESIGN.md §3.10).
+	// Kinds splits the served/round counters and latency by query kind, in
+	// enabled-kind order (DESIGN.md §3.10).
 	Kinds []KindStats `json:"kinds,omitempty"`
 }
 
@@ -283,8 +262,8 @@ type kindRuntime struct {
 	budget   int64
 	maxBatch int // requests per round: Config.MaxBatch / PerRequest
 
-	rounds, served, degraded, simSteps atomic.Int64
-	lat                                obs.Histogram
+	rounds, served, simSteps atomic.Int64
+	lat                      obs.Histogram
 	// stepsEWMA tracks recent mesh steps per round of this kind (EWMA ×256
 	// fixed-point), the steps half of the expected-round-time product.
 	stepsEWMA atomic.Int64
@@ -305,7 +284,6 @@ type Instance struct {
 	cfg      Config
 	m        *mesh.Mesh
 	ss       *StructureSet
-	bt       *dict.BTree
 	kinds    []Kind
 	kr       [NumKinds]*kindRuntime
 	maxBatch int
@@ -320,33 +298,27 @@ type Instance struct {
 
 	accepted, rejected, served, failed atomic.Int64
 	budgetShed                         atomic.Int64
-	rounds, simSteps                   atomic.Int64
+	rounds, roundQueries, simSteps     atomic.Int64
 	lastBatch, peakBatch               atomic.Int64
 	// nsPerStep is the observed steps-to-wall-clock ratio (float64 bits),
 	// an EWMA over mesh rounds. With the kind's step budget (Theorem 2's
 	// O(√n) bound) it predicts round latency: expected ≈ steps × ns/step.
-	nsPerStep   atomic.Uint64
-	lat         obs.Histogram // answered-lookup latency, admission → response
-	latMesh     obs.Histogram // mesh-answered subset
-	latDegraded obs.Histogram // oracle-answered subset
-	obs         *obs.Observer
+	nsPerStep atomic.Uint64
+	lat       obs.Histogram // answered-lookup latency, admission → response
+	obs       *obs.Observer
 
-	// Recovery state (DESIGN.md §3.6). maxRetries/backoff/canaryEvery are
-	// the resolved Config knobs; brk and lastCanary are owned by the
-	// executor goroutine; circuitOpen mirrors brk's verdict for readers
-	// (Health, /healthz) and lameduck is set once by Shutdown. nudge wakes
-	// the executor for idle canaries when the circuit is open.
+	// Recovery state (DESIGN.md §3.6). maxRetries/backoff are the resolved
+	// Config knobs; brk is owned by the executor goroutine; circuitOpen
+	// mirrors brk's verdict for readers (Health, the fleet) and lameduck is
+	// set once by Shutdown. probes carries Probe calls to the executor.
 	maxRetries  int
 	backoff     Backoff
-	canaryEvery time.Duration
 	brk         *breaker
-	lastCanary  time.Time
-	nudge       chan struct{}
+	probes      chan chan error
 	circuitOpen atomic.Bool
 	lameduck    atomic.Bool
 
 	retries, recovered           atomic.Int64
-	degraded, degradedRounds     atomic.Int64
 	circuitOpens, circuitCloses  atomic.Int64
 	canaryRounds, canaryFailures atomic.Int64
 	faults                       [core.FaultOther + 1]atomic.Int64
@@ -420,32 +392,26 @@ func New(cfg Config) (*Instance, error) {
 	if threshold <= 0 || threshold > 1 {
 		threshold = 0.5
 	}
-	canaryEvery := cfg.CanaryInterval
-	if canaryEvery == 0 {
-		canaryEvery = 50 * time.Millisecond
-	}
 	backoff := Backoff{Base: cfg.RetryBackoff}
 	if cfg.BackoffSeed != 0 {
 		backoff.Jitter = SeededJitter(cfg.BackoffSeed)
 	}
 
 	s := &Instance{
-		cfg:         cfg,
-		m:           m,
-		ss:          ss,
-		bt:          ss.Membership(),
-		kinds:       ss.Kinds(),
-		maxBatch:    maxBatch,
-		batches:     make(chan kindBatch, 1),
-		runCtx:      ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		maxRetries:  maxRetries,
-		backoff:     backoff,
-		canaryEvery: canaryEvery,
-		brk:         newBreaker(window, threshold),
-		nudge:       make(chan struct{}, 1),
-		obs:         cfg.Obs,
+		cfg:        cfg,
+		m:          m,
+		ss:         ss,
+		kinds:      ss.Kinds(),
+		maxBatch:   maxBatch,
+		batches:    make(chan kindBatch, 1),
+		runCtx:     ctx,
+		cancel:     cancel,
+		done:       make(chan struct{}),
+		maxRetries: maxRetries,
+		backoff:    backoff,
+		brk:        newBreaker(window, threshold),
+		probes:     make(chan chan error),
+		obs:        cfg.Obs,
 	}
 	for _, k := range s.kinds {
 		st := ss.Get(k)
@@ -471,23 +437,20 @@ func New(cfg Config) (*Instance, error) {
 	if cfg.Injector != nil {
 		m.SetInjector(cfg.Injector)
 	}
-	var collectors sync.WaitGroup
+	// The instance's only goroutines: one collector per kind and the
+	// executor. The last collector to drain closes the executor's input.
+	var collecting atomic.Int32
+	collecting.Store(int32(len(s.kinds)))
 	for _, k := range s.kinds {
-		collectors.Add(1)
 		kr := s.kr[k]
 		go func() {
-			defer collectors.Done()
 			s.collect(kr)
+			if collecting.Add(-1) == 0 {
+				close(s.batches)
+			}
 		}()
 	}
-	go func() {
-		collectors.Wait()
-		close(s.batches)
-	}()
 	go s.execute()
-	if canaryEvery > 0 && !cfg.DisableDegrade {
-		go s.canaryTicker()
-	}
 	return s, nil
 }
 
@@ -502,10 +465,6 @@ func (s *Instance) Health() Health {
 		return Healthy
 	}
 }
-
-// Tree exposes the served dictionary (for oracle checks in tests and the
-// load generator).
-func (s *Instance) Tree() *dict.BTree { return s.bt }
 
 // Structures exposes the kind registry (fleet oracle rung, load-generator
 // oracle checks, tests).
@@ -541,20 +500,15 @@ func (s *Instance) QueueCap() int {
 // RetryAfterHint estimates how long a rejected (or routed-around) client
 // should wait before retrying this instance: the time for the current
 // admission backlog to drain, at one fill window per queued round, with a
-// floor of one window — or the canary interval while the circuit is open,
-// when recovery is canary-bound rather than queue-bound. The fleet's
-// backpressure signal takes the minimum of this hint across healthy
-// replicas, so a 429 reflects the soonest any replica could accept work.
+// floor of one window. The fleet's backpressure signal takes the minimum of
+// this hint across healthy replicas, so a 429 reflects the soonest any
+// replica could accept work.
 func (s *Instance) RetryAfterHint() time.Duration {
 	per := s.cfg.Linger
 	if per <= 0 {
 		per = time.Millisecond
 	}
-	hint := time.Duration(s.QueueLen()/s.maxBatch+1) * per
-	if s.circuitOpen.Load() && s.canaryEvery > hint {
-		hint = s.canaryEvery
-	}
-	return hint
+	return time.Duration(s.QueueLen()/s.maxBatch+1) * per
 }
 
 // observeStepRatio feeds one completed mesh attempt into the ns/step EWMA
@@ -702,21 +656,17 @@ func (s *Instance) LookupKind(ctx context.Context, kind Kind, args Args) (Result
 	}
 	select {
 	case r := <-req.resp:
-		// Latency is admission → response, mesh-served and degraded alike;
-		// rejected and abandoned lookups never reach a round, so they do
-		// not pollute the serving histogram.
+		// Latency is admission → response; rejected and abandoned lookups
+		// never reach a round, so they do not pollute the serving histogram.
 		e2e := time.Since(start)
 		s.lat.Observe(e2e)
 		kr.lat.Observe(e2e)
-		if r.err == nil {
-			if r.res.Degraded {
-				s.latDegraded.Observe(e2e)
-			} else {
-				s.latMesh.Observe(e2e)
-			}
-		}
 		if created {
-			s.obs.Finish(tr, lookupOutcome(r), r.err)
+			oc := obs.OutcomeMesh
+			if r.err != nil {
+				oc = obs.OutcomeError
+			}
+			s.obs.Finish(tr, oc, r.err)
 		}
 		return r.res, r.err
 	case <-ctx.Done():
@@ -731,27 +681,9 @@ func (s *Instance) LookupKind(ctx context.Context, kind Kind, args Args) (Result
 	}
 }
 
-// lookupOutcome classifies a delivered response for the trace record.
-func lookupOutcome(r response) obs.Outcome {
-	switch {
-	case r.err != nil:
-		return obs.OutcomeError
-	case r.res.Degraded:
-		return obs.OutcomeDegraded
-	default:
-		return obs.OutcomeMesh
-	}
-}
-
 // LatencySnapshot exposes the raw latency histogram (the load generator and
 // tests compute their own quantiles; /metrics uses the Stats summary).
 func (s *Instance) LatencySnapshot() obs.HistSnapshot { return s.lat.Snapshot() }
-
-// LatencyByOutcome exposes the outcome-split latency histograms (mesh- vs
-// oracle-answered), for the Prometheus exposition and the fleet aggregator.
-func (s *Instance) LatencyByOutcome() (mesh, degraded obs.HistSnapshot) {
-	return s.latMesh.Snapshot(), s.latDegraded.Snapshot()
-}
 
 // LatencyByKind exposes one kind's answered-lookup latency histogram (zero
 // snapshot for kinds not served).
@@ -826,8 +758,8 @@ func (s *Instance) collect(kr *kindRuntime) {
 	}
 }
 
-// execute serves batches until every collector drains, waking for idle
-// canary probes while the circuit is open. It is the only goroutine that
+// execute serves batches until every collector drains, and runs the
+// canary of each Probe call between them. It is the only goroutine that
 // touches the mesh, which is what makes the recovery ladder's audit and
 // budget toggling and breaker bookkeeping lock-free.
 func (s *Instance) execute() {
@@ -839,31 +771,43 @@ func (s *Instance) execute() {
 				return
 			}
 			s.serveBatch(b.kr, b.reqs)
-		case <-s.nudge:
-			if s.circuitOpen.Load() && !s.lameduck.Load() && s.canaryDue() {
-				s.runCanary()
+		case reply := <-s.probes:
+			var err error
+			switch {
+			case s.lameduck.Load():
+				err = ErrClosed
+			case s.circuitOpen.Load():
+				err = s.runCanary()
 			}
+			reply <- err
 		}
 	}
 }
 
-// canaryTicker nudges the executor every CanaryInterval while the circuit
-// is open, so a degraded server recovers even with no traffic arriving.
-func (s *Instance) canaryTicker() {
-	t := time.NewTicker(s.canaryEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if s.circuitOpen.Load() && !s.lameduck.Load() {
-				select {
-				case s.nudge <- struct{}{}:
-				default:
-				}
-			}
-		case <-s.done:
-			return
-		}
+// Probe asks the executor for one audited, oracle-checked canary round per
+// enabled kind while the circuit is open; a clean canary closes the circuit
+// (DESIGN.md §3.6). It returns nil when the circuit is closed afterwards —
+// by this canary, or because it was not open — the canary's fault when the
+// mesh is still untrustworthy, ErrClosed once Shutdown has begun, and
+// ctx.Err() when ctx ends first. The instance never probes itself: the
+// fleet's prober calls this for every replica whose circuit is open.
+func (s *Instance) Probe(ctx context.Context) error {
+	if s.lameduck.Load() {
+		return ErrClosed
+	}
+	reply := make(chan error, 1) // the executor never blocks on a gone caller
+	select {
+	case s.probes <- reply:
+	case <-s.done:
+		return ErrClosed
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	select {
+	case err := <-reply:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -900,41 +844,37 @@ func (s *Instance) Shutdown(ctx context.Context) error {
 // Stats returns a snapshot of the serving counters.
 func (s *Instance) Stats() Stats {
 	st := Stats{
-		Accepted:   s.accepted.Load(),
-		Rejected:   s.rejected.Load(),
-		Served:     s.served.Load(),
-		Failed:     s.failed.Load(),
-		BudgetShed: s.budgetShed.Load(),
-		Rounds:     s.rounds.Load(),
-		SimSteps:   s.simSteps.Load(),
-		LastBatch:  s.lastBatch.Load(),
-		PeakBatch:  s.peakBatch.Load(),
-		StepBudget: s.cfg.Budget,
+		Accepted:     s.accepted.Load(),
+		Rejected:     s.rejected.Load(),
+		Served:       s.served.Load(),
+		Failed:       s.failed.Load(),
+		BudgetShed:   s.budgetShed.Load(),
+		Rounds:       s.rounds.Load(),
+		RoundQueries: s.roundQueries.Load(),
+		SimSteps:     s.simSteps.Load(),
+		LastBatch:    s.lastBatch.Load(),
+		PeakBatch:    s.peakBatch.Load(),
+		StepBudget:   s.cfg.Budget,
 
-		Retries:         s.retries.Load(),
-		Recovered:       s.recovered.Load(),
-		Degraded:        s.degraded.Load(),
-		DegradedRounds:  s.degradedRounds.Load(),
-		CircuitOpens:    s.circuitOpens.Load(),
-		CircuitCloses:   s.circuitCloses.Load(),
-		CanaryRounds:    s.canaryRounds.Load(),
-		CanaryFails:     s.canaryFailures.Load(),
-		FaultsAudit:     s.faults[core.FaultAudit].Load(),
-		FaultsBudget:    s.faults[core.FaultBudget].Load(),
-		FaultsCanceled:  s.faults[core.FaultCanceled].Load(),
-		FaultsPanic:     s.faults[core.FaultPanic].Load(),
-		FaultsOther:     s.faults[core.FaultOther].Load(),
-		Health:          s.Health().String(),
-		Latency:         s.lat.Snapshot().Summary(),
-		LatencyMesh:     s.latMesh.Snapshot().Summary(),
-		LatencyDegraded: s.latDegraded.Snapshot().Summary(),
+		Retries:        s.retries.Load(),
+		Recovered:      s.recovered.Load(),
+		CircuitOpens:   s.circuitOpens.Load(),
+		CircuitCloses:  s.circuitCloses.Load(),
+		CanaryRounds:   s.canaryRounds.Load(),
+		CanaryFails:    s.canaryFailures.Load(),
+		FaultsAudit:    s.faults[core.FaultAudit].Load(),
+		FaultsBudget:   s.faults[core.FaultBudget].Load(),
+		FaultsCanceled: s.faults[core.FaultCanceled].Load(),
+		FaultsPanic:    s.faults[core.FaultPanic].Load(),
+		FaultsOther:    s.faults[core.FaultOther].Load(),
+		Health:         s.Health().String(),
+		Latency:        s.lat.Snapshot().Summary(),
 	}
 	for _, k := range s.kinds {
 		kr := s.kr[k]
 		st.Kinds = append(st.Kinds, KindStats{
 			Kind:     k.String(),
 			Served:   kr.served.Load(),
-			Degraded: kr.degraded.Load(),
 			Rounds:   kr.rounds.Load(),
 			SimSteps: kr.simSteps.Load(),
 			Latency:  kr.lat.Snapshot().Summary(),

@@ -58,7 +58,7 @@ func TestLookupsMatchHostOracle(t *testing.T) {
 					errs <- err
 					return
 				}
-				if want := s.Tree().Contains(needle); res.Found != want {
+				if want := s.Structures().Membership().Contains(needle); res.Found != want {
 					errs <- errors.New("wrong membership answer")
 					return
 				}
@@ -236,13 +236,12 @@ func TestShutdownDrainsQueuedLookups(t *testing.T) {
 }
 
 // TestBudgetAbortDeliversTypedError serves with an absurdly small per-round
-// budget and the oracle fallback disabled: the round must fail and every
-// query of the batch must receive an error unwrapping to
-// *mesh.BudgetExceededError — proving the run-control seam composes with
-// serving. (With the fallback enabled the same overrun is answered degraded;
-// see TestBudgetOverrunDegradesToOracle.)
+// budget: the round must fail and every query of the batch must receive an
+// error unwrapping to *mesh.BudgetExceededError — proving the run-control
+// seam composes with serving. (Behind a fleet the same overrun is answered by the fleet's
+// oracle rung; see TestBudgetOverrunDegradesToOracle.)
 func TestBudgetAbortDeliversTypedError(t *testing.T) {
-	s := newTestServer(t, Config{Side: 8, Budget: 3, DisableDegrade: true})
+	s := newTestServer(t, Config{Side: 8, Budget: 3})
 	_, err := s.Lookup(context.Background(), 1)
 	if err == nil {
 		t.Fatal("lookup under a 3-step budget succeeded")
@@ -254,8 +253,8 @@ func TestBudgetAbortDeliversTypedError(t *testing.T) {
 	if st := s.Stats(); st.Failed == 0 {
 		t.Fatalf("stats recorded no failures: %+v", st)
 	}
-	// The server survives a failed round: later rounds still answer (the
-	// budget keeps failing them, but the loop must not wedge).
+	// The server survives a failed round: later lookups still get an answer
+	// (the open circuit fails them fast, but the loop must not wedge).
 	if _, err := s.Lookup(context.Background(), 2); err == nil {
 		t.Fatal("second lookup under the budget succeeded")
 	}
